@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from churnfusion.audio_features import (
     stft_magnitude,
 )
 from churnfusion.errors import BadBand, BadFrameParams, BadKernel, ClipTooShort
+from churnfusion.synth import SynthConfig, generate_cohort, generate_ser_corpus
 
 SR = 16000
 
@@ -161,3 +164,17 @@ class TestFeatureMap:
         a = build_feature_map(clip, params).image
         b = build_feature_map(shifted, params).image
         assert np.linalg.norm(a - b) / np.linalg.norm(a) < 0.05
+
+
+# sha256 of the stacked [3, 64] float64 maps below, as the front end produced
+# them with 2-D footprint median filters and a filterbank built per call.
+GOLDEN_MAPS_SHA256 = "b586da7cf7c416f0c86f524208eee277c7731882b10f4f2932ab57689afc7f91"
+
+
+def test_feature_maps_are_byte_identical_to_golden():
+    clips, _ = generate_ser_corpus(4, 0.5, 5)
+    cohort = generate_cohort(SynthConfig(n_customers=20, clip_duration_s=1.0, seed=3))
+    clips += [cohort.audio_clips[ref] for ref in sorted(cohort.audio_clips)]
+    images = np.stack([build_feature_map(clip).image for clip in clips])
+    assert images.shape == (36, 3, 64)
+    assert hashlib.sha256(images.tobytes()).hexdigest() == GOLDEN_MAPS_SHA256
