@@ -8,6 +8,7 @@ complementary soft masks, Mel-filterbank projection, and a compact
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import median_filter
@@ -115,6 +116,32 @@ def _check_kernel(k: int, name: str) -> None:
         raise BadKernel(f"{name} must be an odd integer >= 3, got {k}")
 
 
+def _median_along(x: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """Median of width k along one axis of a 2-D array, mode "reflect".
+
+    Bit for bit equal to `median_filter` with a (1, k) or (k, 1)
+    footprint. Each row along the axis is padded by k//2 with numpy's
+    "symmetric" mode (ndimage's "reflect"), the padded rows are joined
+    into one line, and one 1-D `median_filter` call runs over it; every
+    kept window lies inside its own padded row. The 1-D path is a
+    running-rank filter, far cheaper than the N-D selection a 2-D
+    footprint takes. An axis shorter than k keeps the 2-D footprint call:
+    on a length-2 axis its result differs from the padded line's (scipy's
+    N-D filter there returns values from outside the row), and the
+    fallback keeps the output byte-identical to it.
+    """
+    rows = x if axis == 1 else x.T
+    n = rows.shape[1]
+    if n < k:
+        size = (1, k) if axis == 1 else (k, 1)
+        return median_filter(x, size=size, mode="reflect")
+    half = k // 2
+    padded = np.pad(rows, ((0, 0), (half, half)), mode="symmetric")
+    line = median_filter(padded.ravel(), size=k, mode="reflect")
+    out = line.reshape(padded.shape)[:, half : half + n]
+    return out if axis == 1 else out.T
+
+
 def hpss_median(
     spec: Spectrogram, kernel_time: int = 17, kernel_freq: int = 17
 ) -> tuple[Spectrogram, Spectrogram]:
@@ -123,13 +150,15 @@ def hpss_median(
     Median filtering along time enhances sustained (harmonic) energy,
     along frequency enhances transient (percussive) energy; the enhanced
     magnitudes drive complementary soft masks, so the two outputs sum to
-    the input elementwise.
+    the input elementwise. Each direction is one 1-D running-median pass
+    (`_median_along`), equal to ndimage's mode "reflect" bit for bit; an
+    axis shorter than its kernel falls back to the 2-D footprint filter.
     """
     _check_kernel(kernel_time, "kernel_time")
     _check_kernel(kernel_freq, "kernel_freq")
     mags = spec.magnitudes
-    harm_enh = median_filter(mags, size=(1, kernel_time), mode="reflect")
-    perc_enh = median_filter(mags, size=(kernel_freq, 1), mode="reflect")
+    harm_enh = _median_along(mags, kernel_time, axis=1)
+    perc_enh = _median_along(mags, kernel_freq, axis=0)
     # Exact complementary masks: split 50/50 where both enhanced spectra
     # vanish so M_h + M_p == 1 holds everywhere, not just at loud bins.
     denom = harm_enh**2 + perc_enh**2
@@ -168,9 +197,22 @@ def mel_filterbank(
     return fb
 
 
+@lru_cache(maxsize=16)
+def _cached_filterbank(
+    n_mels: int, n_bins: int, frame_size: int, sample_rate: int, f_min: float, f_max: float
+) -> np.ndarray:
+    """`mel_filterbank`, built once per parameter set and shared read-only.
+
+    Bad arguments raise on every call: lru_cache does not cache exceptions.
+    """
+    fb = mel_filterbank(n_mels, n_bins, frame_size, sample_rate, f_min, f_max)
+    fb.flags.writeable = False
+    return fb
+
+
 def mel_project(spec: Spectrogram, n_mels: int = 64, f_min: float = 50.0, f_max: float = 8000.0) -> np.ndarray:
     """Project squared magnitudes through the Mel filterbank, [n_mels, frames]."""
-    fb = mel_filterbank(
+    fb = _cached_filterbank(
         n_mels, spec.magnitudes.shape[0], spec.frame_size, spec.sample_rate, f_min, f_max
     )
     return fb @ spec.magnitudes**2

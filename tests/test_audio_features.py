@@ -2,7 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.ndimage import median_filter
 
+from churnfusion import audio_features as af
 from churnfusion.audio_features import (
     EPS,
     AudioClip,
@@ -11,6 +14,7 @@ from churnfusion.audio_features import (
     build_feature_map,
     hpss_median,
     mel_band_centers,
+    mel_filterbank,
     mel_project,
     stft_magnitude,
 )
@@ -112,6 +116,90 @@ class TestHpss:
             hpss_median(spec, 5, 1)
 
 
+KERNELS = (3, 5, 17, 31)
+
+
+def ndimage_median(x, k, axis):
+    size = (1, k) if axis == 1 else (k, 1)
+    return median_filter(x, size=size, mode="reflect")
+
+
+def assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestMedianAlong:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("k", KERNELS)
+    def test_every_axis_length_up_to_40(self, k, axis):
+        rng = np.random.default_rng([k, axis])
+        for n in range(1, 41):
+            x = rng.random((n, 7) if axis == 0 else (7, n))
+            assert_same_bytes(af._median_along(x, k, axis), ndimage_median(x, k, axis))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        other=st.integers(1, 9),
+        k=st.sampled_from(KERNELS),
+        axis=st.sampled_from([0, 1]),
+        levels=st.sampled_from([0, 2, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, other=3, k=17, axis=1, levels=0, seed=0)
+    @example(n=2, other=3, k=31, axis=0, levels=0, seed=0)
+    def test_matches_ndimage_reflect(self, n, other, k, axis, levels, seed):
+        # levels > 0 draws from a few values, so windows hold ties
+        rng = np.random.default_rng(seed)
+        shape = (n, other) if axis == 0 else (other, n)
+        x = rng.integers(0, levels, shape).astype(float) if levels else rng.standard_normal(shape)
+        assert_same_bytes(af._median_along(x, k, axis), ndimage_median(x, k, axis))
+
+    def test_short_axis_needs_the_2d_fallback(self):
+        # why _median_along falls back: on a length-2 row the padded line
+        # and ndimage's 2-D filter disagree
+        x = np.array([[2.0, 1.0]])
+        padded = np.pad(x, ((0, 0), (8, 8)), mode="symmetric")
+        line = median_filter(padded.ravel(), size=17, mode="reflect")[8:10]
+        assert line.tobytes() != ndimage_median(x, 17, 1).ravel().tobytes()
+        assert_same_bytes(af._median_along(x, 17, 1), ndimage_median(x, 17, 1))
+
+
+class TestFilterbankCache:
+    ARGS = (64, 513, 1024, SR, 50.0, 8000.0)
+
+    def test_cached_equals_fresh_and_is_read_only(self):
+        fb = af._cached_filterbank(*self.ARGS)
+        fresh = mel_filterbank(*self.ARGS)
+        assert_same_bytes(fb, fresh)
+        assert not fb.flags.writeable
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+        assert fresh.flags.writeable and mel_filterbank(*self.ARGS) is not fresh
+
+    def test_mel_project_builds_once_per_parameter_set(self, monkeypatch):
+        builds = []
+        real = af.mel_filterbank
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(af, "mel_filterbank", counting)
+        af._cached_filterbank.cache_clear()
+        spec = stft_magnitude(sine_clip(440), 1024, 256)
+        expected = real(*self.ARGS) @ spec.magnitudes**2
+        for _ in range(5):
+            assert_same_bytes(mel_project(spec, 64, 50.0, 8000.0), expected)
+        assert len(builds) == 1
+        for _ in range(3):
+            mel_project(spec, 32, 50.0, 8000.0)
+        assert len(builds) == 2
+        build_feature_map(sine_clip(440))
+        assert len(builds) == 2
+
+
 class TestMelProject:
     def test_zero_spectrogram(self):
         spec = Spectrogram(np.zeros((513, 10)), 1024, 256, SR)
@@ -132,10 +220,11 @@ class TestMelProject:
 
     def test_degenerate_band_rejected(self):
         spec = Spectrogram(np.ones((513, 4)), 1024, 256, SR)
-        with pytest.raises(BadBand):
-            mel_project(spec, 64, 4000, 4000)
-        with pytest.raises(BadBand):
-            mel_project(spec, 3, 50, 8000)
+        for _ in range(3):  # the filterbank cache must not swallow repeats
+            with pytest.raises(BadBand):
+                mel_project(spec, 64, 4000, 4000)
+            with pytest.raises(BadBand):
+                mel_project(spec, 3, 50, 8000)
 
 
 class TestFeatureMap:
