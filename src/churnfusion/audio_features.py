@@ -119,22 +119,16 @@ def _check_kernel(k: int, name: str) -> None:
 def _median_along(x: np.ndarray, k: int, axis: int) -> np.ndarray:
     """Median of width k along one axis of a 2-D array, mode "reflect".
 
-    Bit for bit equal to `median_filter` with a (1, k) or (k, 1)
-    footprint. Each row along the axis is padded by k//2 with numpy's
-    "symmetric" mode (ndimage's "reflect"), the padded rows are joined
-    into one line, and one 1-D `median_filter` call runs over it; every
-    kept window lies inside its own padded row. The 1-D path is a
-    running-rank filter, far cheaper than the N-D selection a 2-D
-    footprint takes. An axis shorter than k keeps the 2-D footprint call:
-    on a length-2 axis its result differs from the padded line's (scipy's
-    N-D filter there returns values from outside the row), and the
-    fallback keeps the output byte-identical to it.
+    Each row along the axis is padded by k//2 with numpy's "symmetric"
+    mode (ndimage's "reflect"), the padded rows are joined into one line,
+    and one 1-D `median_filter` call runs over it; every kept window lies
+    inside its own padded row. The 1-D path is a running-rank filter, far
+    cheaper than the N-D selection a (1, k) or (k, 1) footprint takes, and
+    equal to it bit for bit except on a length-2 axis, where scipy's N-D
+    filter returns values from outside the row.
     """
     rows = x if axis == 1 else x.T
     n = rows.shape[1]
-    if n < k:
-        size = (1, k) if axis == 1 else (k, 1)
-        return median_filter(x, size=size, mode="reflect")
     half = k // 2
     padded = np.pad(rows, ((0, 0), (half, half)), mode="symmetric")
     line = median_filter(padded.ravel(), size=k, mode="reflect")
@@ -151,8 +145,7 @@ def hpss_median(
     along frequency enhances transient (percussive) energy; the enhanced
     magnitudes drive complementary soft masks, so the two outputs sum to
     the input elementwise. Each direction is one 1-D running-median pass
-    (`_median_along`), equal to ndimage's mode "reflect" bit for bit; an
-    axis shorter than its kernel falls back to the 2-D footprint filter.
+    (`_median_along`) with mode "reflect" edges.
     """
     _check_kernel(kernel_time, "kernel_time")
     _check_kernel(kernel_freq, "kernel_freq")

@@ -4,12 +4,16 @@ Workspace layout under --out: ``data/`` (cohort files), ``models/``
 (versioned binaries), ``reports/`` (assignment tables and metric
 reports). All commands re-derive the train/test split from the top-level
 seed, so trainers and evaluators agree without extra bookkeeping.
+``train`` and ``evaluate`` share `pipeline.Split` and `pipeline.assign`
+with `pipeline.run_experiment`; ``evaluate`` reads ``models/<name>.bin``,
+except that ``evaluate hybrid`` trains and writes ``churn_hybrid.bin``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -60,98 +64,67 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# save and load of each model blob under models/
+BLOBS = {
+    "fl": (flm.save_fl_model, flm.load_fl_model),
+    "ser": (serm.save_emotion_model, serm.load_emotion_model),
+    "churn": (cm.save_churn_model, cm.load_churn_model),
+    "churn_hybrid": (cm.save_churn_model, cm.load_churn_model),
+}
+
+
+def _save_model(model_dir: Path, name: str, model) -> Path:
+    model_dir.mkdir(parents=True, exist_ok=True)
+    path = model_dir / f"{name}.bin"
+    path.write_bytes(BLOBS[name][0](model))
+    return path
+
+
+def _stored_model(model_dir: Path, split: pipeline.Split, name: str):
+    """Model source reading models/; the hybrid churn model is trained and written here."""
+    if name == "churn_hybrid":
+        model = pipeline.train_model(split, name)
+        _save_model(model_dir, name, model)
+        return model
+    path = model_dir / f"{name}.bin"
+    if not path.exists():
+        raise MissingModality(f"missing {name} model at {path}; run 'train {name}'")
+    return BLOBS[name][1](path.read_bytes())
+
+
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     data_dir, model_dir, _ = _workspace(args)
     cohort = _read_cohort(data_dir)
-    train_tbl, _ = pipeline.split_table(cohort.table, cfg.test_fraction, cfg.seed)
-    model_dir.mkdir(parents=True, exist_ok=True)
-
+    split = pipeline.Split(cohort, cfg, pipeline.train_model)
+    model = split.model(args.modality)
     if args.modality == "fl":
-        model = pipeline.train_fl(train_tbl, cfg)
-        blob = flm.save_fl_model(model)
-        path = model_dir / "fl.bin"
-        labeled = [(np.array(r.features), r.fl_label) for r in train_tbl.rows if r.fl_label is not None]
+        labeled = [r for r in split.train.rows if r.fl_label is not None]
         if labeled:
-            X = np.array([f for f, _ in labeled])
-            y = np.array([t for _, t in labeled])
-            rmse = float(np.sqrt(np.mean((flm.predict_fl_batch(model, X) - y) ** 2)))
+            pred = flm.predict_fl_batch(model, np.array([r.features for r in labeled]))
+            rmse = float(np.sqrt(np.mean((pred - np.array([r.fl_label for r in labeled])) ** 2)))
             print(f"train_rmse={rmse!r}")
         print(f"pseudo_labels={len(model.transcript)}")
-    elif args.modality == "ser":
-        if not (data_dir / "manifest.csv").exists():
-            raise MissingModality(f"no audio manifest at {data_dir}")
-        model = pipeline.train_ser(cfg)
-        blob = serm.save_emotion_model(model)
-        path = model_dir / "ser.bin"
-        print(f"final_loss={model.final_loss!r}")
-    elif args.modality == "churn":
-        model = pipeline.train_churn_baseline(train_tbl, cfg)
-        blob = cm.save_churn_model(model)
-        path = model_dir / "churn.bin"
-        print(f"final_loss={model.final_loss!r}")
-        print(f"train_accuracy={model.train_accuracy!r}")
     else:
-        raise ChurnFusionError(f"unknown modality {args.modality!r}")
-    path.write_bytes(blob)
-    print(f"model_path={path}")
+        print(f"final_loss={model.final_loss!r}")
+    if args.modality == "churn":
+        print(f"train_accuracy={model.train_accuracy!r}")
+    print(f"model_path={_save_model(model_dir, args.modality, model)}")
     return 0
-
-
-def _risk_histogram(assignments) -> dict[str, int]:
-    counts = {"low": 0, "mid": 0, "high": 0}
-    for a in assignments:
-        counts[a.decision.risk] += 1
-    return counts
 
 
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     data_dir, model_dir, report_dir = _workspace(args)
     cohort = _read_cohort(data_dir)
-    train_tbl, test_tbl = pipeline.split_table(cohort.table, cfg.test_fraction, cfg.seed)
-    strategy = args.strategy
-
-    churn_path = model_dir / "churn.bin"
-    if strategy in ("none", "late") and not churn_path.exists():
-        raise MissingModality(f"missing churn model at {churn_path}; run 'train churn'")
-    if strategy == "none":
-        churn = cm.load_churn_model(churn_path.read_bytes())
-        assignments = fusion.run_none_fusion(test_tbl, churn, cfg.translation)
-    else:
-        fl_path, ser_path = model_dir / "fl.bin", model_dir / "ser.bin"
-        for path, name in ((fl_path, "fl"), (ser_path, "ser")):
-            if not path.exists():
-                raise MissingModality(f"missing {name} model at {path}; run 'train {name}'")
-        fl = flm.load_fl_model(fl_path.read_bytes())
-        ser = serm.load_emotion_model(ser_path.read_bytes())
-        if strategy == "late":
-            churn = cm.load_churn_model(churn_path.read_bytes())
-            assignments = fusion.run_late_fusion(
-                test_tbl, cohort.audio_clips, fl, ser, churn, cfg.translation, cfg.features
-            )
-        else:  # hybrid retrains the churn stage on augmented inputs
-            hybrid = fusion.train_hybrid_churn(
-                train_tbl, cohort.audio_clips, fl, ser,
-                min(cfg.rfe_k + 2, cohort.table.schema.width + 2),
-                cfg.smote, cfg.churn_train, cfg.features,
-            )
-            model_dir.mkdir(parents=True, exist_ok=True)
-            (model_dir / "churn_hybrid.bin").write_bytes(cm.save_churn_model(hybrid))
-            assignments = fusion.run_hybrid_fusion(
-                test_tbl, cohort.audio_clips, fl, ser, hybrid, cfg.translation, cfg.features
-            )
-
-    outcomes = {r.id: r.churn_outcome for r in cohort.table.rows}
-    report = metrics.evaluate_assignments(assignments, cohort.ground_truth, outcomes)
+    split = pipeline.Split(cohort, cfg, functools.partial(_stored_model, model_dir))
+    assignments = pipeline.assign(args.strategy, split)
+    text = metrics.serialize_report(pipeline.evaluate(assignments, cohort))
     report_dir.mkdir(parents=True, exist_ok=True)
-    (report_dir / f"assignments_{strategy}.csv").write_bytes(
+    (report_dir / f"assignments_{args.strategy}.csv").write_bytes(
         fusion.serialize_assignments(assignments)
     )
-    text = metrics.serialize_report(report)
-    for level, count in _risk_histogram(assignments).items():
-        text += f"risk_{level}={count}\n"
-    (report_dir / f"report_{strategy}.txt").write_text(text, encoding="utf-8")
+    (report_dir / f"report_{args.strategy}.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return 0
 

@@ -18,7 +18,6 @@ from .errors import DuplicateId, SchemaMismatch, UnknownLabel
 
 POSITIVE_LABELS = ("Happiness", "Neutral")
 NEGATIVE_LABELS = ("Sadness", "Anger")
-EMOTION_LABELS = POSITIVE_LABELS + NEGATIVE_LABELS
 
 RISK_LABELS = ("low", "mid", "high")
 
@@ -30,38 +29,6 @@ def map_emotion_to_binary(label: str) -> int:
     if label in NEGATIVE_LABELS:
         return 1
     raise UnknownLabel(f"unsupported emotion label: {label!r}")
-
-
-@dataclass(frozen=True)
-class EmotionPrediction:
-    """Four-way label plus its binary collapse and a confidence."""
-
-    label: str
-    binary: int
-    confidence: float
-
-    def __post_init__(self):
-        if self.label not in EMOTION_LABELS:
-            raise UnknownLabel(f"unsupported emotion label: {self.label!r}")
-        if self.binary != map_emotion_to_binary(self.label):
-            raise ValueError("binary flag inconsistent with label")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ModalityScores:
-    """The unimodal triple consumed by the fusion layer."""
-
-    fl_score: float
-    churn_propensity: float
-    emotion: EmotionPrediction
-
-    def __post_init__(self):
-        if not 0.0 <= self.fl_score <= 1.0:
-            raise ValueError("fl_score must lie in [0, 1]")
-        if not 0.0 <= self.churn_propensity <= 1.0:
-            raise ValueError("churn_propensity must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
-"""Indicator translation and decision-level fusion.
+"""Indicator translation and decision-level fusion, one column at a time.
 
 Unimodal outputs become a nominal indicator triple (C, F, V) via three
 threshold propositions, the triple's weighted sum D ranks churn risk, and
-condition blocks assign exactly one of low/mid/high per customer. Three
-strategies are orchestrated here: churn-only banding ("none"), pure
-decision fusion over independent unimodals ("late"), and model-level
-augmentation of the churn inputs followed by decision fusion ("hybrid").
+one lookup over the eight (C, F, V) firing patterns assigns exactly one of
+low/mid/high per customer. Every function here takes and returns whole
+columns: the FL model and the churn model score the table, and emotion
+flags arrive as an array computed by the caller. Three strategies are
+scored here: churn-only banding ("none"), pure decision fusion over
+independent unimodals ("late"), and model-level augmentation of the churn
+inputs followed by the same decision rule ("hybrid"). Choosing among them
+happens in `pipeline.assign`.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ import numpy as np
 
 from . import churn_model as cm
 from . import fl_model as fl
-from . import ser_model as ser
-from .audio_features import AudioClip, FeatureParams, build_feature_map
-from .data_model import CustomerTable, ModalityScores
+from .data_model import CustomerTable
 from .errors import InvalidTriple, MissingModality, SchemaMismatch
 from .mlp import TrainConfig
 
@@ -41,115 +43,63 @@ class TranslationConfig:
             raise ValueError("weights must satisfy w_C >= w_F = w_V >= 0")
 
 
-@dataclass(frozen=True)
-class IndicatorTriple:
-    C: int
-    F: int
-    V: int
+@dataclass(frozen=True, eq=False)
+class Assignments:
+    """One strategy's output as parallel columns, one entry per customer.
+
+    `fl_score` and `emotion` (the 0/1 negative-emotion flag) are None for
+    the churn-only baseline.
+    """
+
+    ids: tuple[str, ...]
+    fl_score: np.ndarray | None
+    propensity: np.ndarray
+    emotion: np.ndarray | None
+    C: np.ndarray
+    F: np.ndarray
+    V: np.ndarray
+    risk: np.ndarray
+    rank_score: np.ndarray
 
     @property
-    def D(self) -> int:
+    def D(self) -> np.ndarray:
         return self.C + self.F + self.V
 
 
-@dataclass(frozen=True)
-class FusionDecision:
-    D: int
-    risk: str
-    triple: IndicatorTriple
-    rank_score: float
+# band of each firing pattern, indexed by 4*(C fires) + 2*(F fires) + (V fires).
+# Low: no indicator fires, or a single non-churn indicator fires.
+# Mid: only the churn indicator, or both non-churn indicators.
+# High: the churn indicator plus at least one other.
+BANDS = np.array(["low", "low", "low", "mid", "mid", "high", "high", "high"])
 
 
-@dataclass(frozen=True)
-class RiskAssignment:
-    id: str
-    scores: ModalityScores | None
-    triple: IndicatorTriple
-    decision: FusionDecision
+def decide(C, F, V, cfg: TranslationConfig = TranslationConfig()) -> np.ndarray:
+    """Risk band of each indicator triple, looked up in BANDS."""
+    C, F, V = np.asarray(C), np.asarray(F), np.asarray(V)
+    for column, weight in zip((C, F, V), cfg.weights):
+        if not np.all((column == 0) | (column == weight)):
+            raise InvalidTriple(f"indicator values outside weight domains {cfg.weights}")
+    return BANDS[4 * (C > 0) + 2 * (F > 0) + (V > 0)]
 
 
-def translate(scores: ModalityScores, cfg: TranslationConfig = TranslationConfig()) -> IndicatorTriple:
-    """Apply the three propositions.
+def fuse(
+    ids, fl_score, propensity, emotion, cfg: TranslationConfig = TranslationConfig()
+) -> Assignments:
+    """Translate score columns into indicators and band each customer.
 
     F fires on a low literacy score (strict '<'), C fires on churn
     propensity strictly above its threshold ('<=' keeps C at 0), and V
-    fires on a negative emotion.
+    fires on a negative emotion. The rank score D + propensity/10 keeps
+    class order while breaking ties continuously.
     """
     w_c, w_f, w_v = cfg.weights
-    f = w_f if scores.fl_score < cfg.fl_threshold else 0
-    c = 0 if scores.churn_propensity <= cfg.churn_threshold else w_c
-    v = w_v if scores.emotion.binary == 1 else 0
-    return IndicatorTriple(C=c, F=f, V=v)
-
-
-def decision_fuse(
-    triple: IndicatorTriple,
-    churn_propensity: float = 0.0,
-    cfg: TranslationConfig = TranslationConfig(),
-) -> FusionDecision:
-    """Assign the unique risk class for an indicator triple.
-
-    Low: no indicator fires, or a single non-churn indicator fires.
-    Mid: only the churn indicator, or both non-churn indicators.
-    High: the churn indicator plus at least one other.
-    The rank score D + propensity/10 keeps class order while breaking ties
-    continuously.
-    """
-    w_c, w_f, w_v = cfg.weights
-    if triple.C not in (0, w_c) or triple.F not in (0, w_f) or triple.V not in (0, w_v):
-        raise InvalidTriple(f"indicator values {triple} outside weight domains {cfg.weights}")
-    c_on, f_on, v_on = triple.C > 0, triple.F > 0, triple.V > 0
-    if not c_on and not (f_on and v_on):
-        risk = "low"
-    elif (c_on and not f_on and not v_on) or (not c_on and f_on and v_on):
-        risk = "mid"
-    else:
-        risk = "high"
-    return FusionDecision(
-        D=triple.D, risk=risk, triple=triple, rank_score=triple.D + churn_propensity / 10.0
+    C = np.where(propensity <= cfg.churn_threshold, 0, w_c)
+    F = np.where(fl_score < cfg.fl_threshold, w_f, 0)
+    V = np.where(emotion == 1, w_v, 0)
+    rank_score = C + F + V + propensity / 10.0
+    return Assignments(
+        tuple(ids), fl_score, propensity, emotion, C, F, V, decide(C, F, V, cfg), rank_score
     )
-
-
-def _emotion_predictions(
-    table: CustomerTable,
-    clips: dict[str, AudioClip],
-    ser_model: ser.EmotionModel,
-    params: FeatureParams,
-    precomputed=None,
-):
-    if precomputed is not None:
-        if len(precomputed) != len(table.rows):
-            raise MissingModality("one precomputed emotion prediction per row required")
-        return list(precomputed)
-    preds = []
-    for row in table.rows:
-        if row.audio_ref is None or row.audio_ref not in clips:
-            raise MissingModality(f"customer {row.id!r} has no audio clip")
-        preds.append(ser.predict_emotion(ser_model, build_feature_map(clips[row.audio_ref], params)))
-    return preds
-
-
-def run_late_fusion(
-    table: CustomerTable,
-    clips: dict[str, AudioClip],
-    fl_model: fl.FLModel,
-    ser_model: ser.EmotionModel,
-    churn: cm.ChurnModel,
-    cfg: TranslationConfig = TranslationConfig(),
-    params: FeatureParams = FeatureParams(),
-    emotions=None,
-) -> list[RiskAssignment]:
-    """Each modality scores its own raw source; fusion happens at decision level only."""
-    X = table.feature_matrix()
-    fl_scores = fl.predict_fl_batch(fl_model, X)
-    propensities = cm.predict_churn_batch(churn, X)
-    emotions = _emotion_predictions(table, clips, ser_model, params, emotions)
-    out = []
-    for row, f_score, p, emo in zip(table.rows, fl_scores, propensities, emotions):
-        scores = ModalityScores(fl_score=float(f_score), churn_propensity=float(p), emotion=emo)
-        triple = translate(scores, cfg)
-        out.append(RiskAssignment(row.id, scores, triple, decision_fuse(triple, float(p), cfg)))
-    return out
 
 
 def augment_features(X: np.ndarray, fl_scores: np.ndarray, emotion_binary: np.ndarray) -> np.ndarray:
@@ -157,82 +107,78 @@ def augment_features(X: np.ndarray, fl_scores: np.ndarray, emotion_binary: np.nd
     return np.column_stack([X, np.asarray(fl_scores, float), np.asarray(emotion_binary, float)])
 
 
+def _score(table, fl_model, churn, emotions, cfg, augmented: bool) -> Assignments:
+    X = table.feature_matrix()
+    emotions = np.asarray(emotions)
+    if emotions.shape != (len(table),):
+        raise MissingModality("one emotion flag per row required")
+    fl_score = fl.predict_fl_batch(fl_model, X)
+    propensity = cm.predict_churn_batch(
+        churn, augment_features(X, fl_score, emotions) if augmented else X
+    )
+    return fuse(table.ids(), fl_score, propensity, emotions, cfg)
+
+
+def run_late_fusion(
+    table: CustomerTable,
+    fl_model: fl.FLModel,
+    churn: cm.ChurnModel,
+    emotions: np.ndarray,
+    cfg: TranslationConfig = TranslationConfig(),
+) -> Assignments:
+    """Each modality scores its own raw source; fusion happens at decision level only."""
+    return _score(table, fl_model, churn, emotions, cfg, augmented=False)
+
+
 def train_hybrid_churn(
     table: CustomerTable,
-    clips: dict[str, AudioClip],
     fl_model: fl.FLModel,
-    ser_model: ser.EmotionModel,
+    emotions: np.ndarray,
     rfe_k: int,
     smote: cm.SmoteParams = cm.SmoteParams(),
     hyper: TrainConfig = TrainConfig(),
-    params: FeatureParams = FeatureParams(),
-    hidden_dims: tuple[int, ...] = (32, 32),
-    emotions=None,
 ) -> cm.ChurnModel:
     """Stage-1 hybrid fusion: retrain the churn model on augmented inputs."""
     X = table.feature_matrix()
     y = np.array([row.churn_outcome for row in table.rows])
     if any(v is None for v in y):
         raise MissingModality("hybrid training needs churn outcomes for every row")
-    fl_scores = fl.predict_fl_batch(fl_model, X)
-    emo = np.array(
-        [e.binary for e in _emotion_predictions(table, clips, ser_model, params, emotions)]
-    )
-    X_aug = augment_features(X, fl_scores, emo)
-    return cm.train_churn(X_aug, y.astype(int), rfe_k, smote, hyper, hidden_dims)
+    X_aug = augment_features(X, fl.predict_fl_batch(fl_model, X), emotions)
+    return cm.train_churn(X_aug, y.astype(int), rfe_k, smote, hyper)
 
 
 def run_hybrid_fusion(
     table: CustomerTable,
-    clips: dict[str, AudioClip],
     fl_model: fl.FLModel,
-    ser_model: ser.EmotionModel,
     hybrid_churn: cm.ChurnModel,
+    emotions: np.ndarray,
     cfg: TranslationConfig = TranslationConfig(),
-    params: FeatureParams = FeatureParams(),
-    emotions=None,
-) -> list[RiskAssignment]:
+) -> Assignments:
     """Stage-2 hybrid fusion: score with the augmented churn model, then fuse."""
-    X = table.feature_matrix()
-    expected = X.shape[1] + 2
-    if max(hybrid_churn.selected_features) >= expected:
+    if max(hybrid_churn.selected_features) >= table.schema.width + 2:
         raise SchemaMismatch("churn model expects wider input than the augmented table")
-    fl_scores = fl.predict_fl_batch(fl_model, X)
-    emotions = _emotion_predictions(table, clips, ser_model, params, emotions)
-    emo = np.array([e.binary for e in emotions])
-    propensities = cm.predict_churn_batch(hybrid_churn, augment_features(X, fl_scores, emo))
-    out = []
-    for row, f_score, p, e in zip(table.rows, fl_scores, propensities, emotions):
-        scores = ModalityScores(fl_score=float(f_score), churn_propensity=float(p), emotion=e)
-        triple = translate(scores, cfg)
-        out.append(RiskAssignment(row.id, scores, triple, decision_fuse(triple, float(p), cfg)))
-    return out
+    return _score(table, fl_model, hybrid_churn, emotions, cfg, augmented=True)
 
 
 def run_none_fusion(
     table: CustomerTable,
     churn: cm.ChurnModel,
     cfg: TranslationConfig = TranslationConfig(),
-) -> list[RiskAssignment]:
+) -> Assignments:
     """Unimodal baseline: churn propensity banded into three risk levels.
 
     Bands sit at the churn threshold and halfway between it and 1, the
     cut-points a propensity-only triple can express; the rank score maps
     propensity onto the same 0..4 scale as the fused D.
     """
-    X = table.feature_matrix()
-    propensities = cm.predict_churn_batch(churn, X)
-    w_c = cfg.weights[0]
-    high_cut = (1.0 + cfg.churn_threshold) / 2.0
-    out = []
-    for row, p in zip(table.rows, propensities):
-        p = float(p)
-        c = 0 if p <= cfg.churn_threshold else w_c
-        triple = IndicatorTriple(C=c, F=0, V=0)
-        risk = "low" if p <= cfg.churn_threshold else ("mid" if p <= high_cut else "high")
-        decision = FusionDecision(D=triple.D, risk=risk, triple=triple, rank_score=4.0 * p)
-        out.append(RiskAssignment(row.id, None, triple, decision))
-    return out
+    propensity = cm.predict_churn_batch(churn, table.feature_matrix())
+    low = propensity <= cfg.churn_threshold
+    mid = propensity <= (1.0 + cfg.churn_threshold) / 2.0
+    C = np.where(low, 0, cfg.weights[0])
+    zeros = np.zeros_like(C)
+    risk = np.where(low, "low", np.where(mid, "mid", "high"))
+    ids = tuple(table.ids())
+    return Assignments(ids, None, propensity, None, C, zeros, zeros, risk, 4.0 * propensity)
 
 
 ASSIGNMENT_HEADER = (
@@ -249,24 +195,25 @@ ASSIGNMENT_HEADER = (
 )
 
 
-def serialize_assignments(assignments: list[RiskAssignment]) -> bytes:
+def serialize_assignments(assignments: Assignments) -> bytes:
+    """CSV in ASSIGNMENT_HEADER order; the baseline leaves the three score cells blank."""
+    a = assignments
+    blank = [""] * len(a.ids)
+    baseline = a.fl_score is None
+    columns = (
+        a.ids,
+        blank if baseline else [repr(v) for v in a.fl_score.tolist()],
+        blank if baseline else [repr(v) for v in a.propensity.tolist()],
+        blank if baseline else a.emotion.tolist(),
+        a.C.tolist(),
+        a.F.tolist(),
+        a.V.tolist(),
+        a.D.tolist(),
+        a.risk.tolist(),
+        [repr(v) for v in a.rank_score.tolist()],
+    )
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(ASSIGNMENT_HEADER)
-    for a in assignments:
-        s = a.scores
-        writer.writerow(
-            [
-                a.id,
-                "" if s is None else repr(s.fl_score),
-                "" if s is None else repr(s.churn_propensity),
-                "" if s is None else s.emotion.binary,
-                a.triple.C,
-                a.triple.F,
-                a.triple.V,
-                a.decision.D,
-                a.decision.risk,
-                repr(a.decision.rank_score),
-            ]
-        )
+    writer.writerows(zip(*columns))
     return out.getvalue().encode("utf-8")

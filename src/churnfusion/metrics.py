@@ -19,7 +19,7 @@ from .errors import (
     NoRelevant,
     SingleClass,
 )
-from .fusion import RiskAssignment
+from .fusion import Assignments
 
 MID_RANK_CENTER = 2.0  # D value of the mid-risk triples
 
@@ -39,6 +39,7 @@ class MetricReport:
     auc: float | None
     per_class_f1: dict[str, float]
     correlations: dict[str, float] = field(default_factory=dict)
+    risk_counts: dict[str, int] = field(default_factory=dict)
 
 
 def average_precision(ranked_relevance, m: int) -> float:
@@ -104,17 +105,15 @@ def roc_auc(scores, labels) -> float:
     return float((greater + 0.5 * ties) / (pos.size * neg.size))
 
 
-def build_risk_queries(
-    assignments: list[RiskAssignment], truth: dict[str, str]
-) -> list[RiskQuery]:
+def build_risk_queries(assignments: Assignments, truth: dict[str, str]) -> list[RiskQuery]:
     """One retrieval query per risk level over the full cohort.
 
     The rank score orders each query by affinity to its level: descending
     for high, ascending for low, and by closeness to the mid-band center
     for mid. Levels absent from the ground truth are skipped.
     """
-    ids = [a.id for a in assignments]
-    ranks = np.array([a.decision.rank_score for a in assignments])
+    ids = assignments.ids
+    ranks = assignments.rank_score
     affinities = {
         "low": -ranks,
         "mid": -np.abs(ranks - MID_RANK_CENTER),
@@ -132,17 +131,17 @@ def build_risk_queries(
     return queries
 
 
-def correlation_report(assignments: list[RiskAssignment]) -> dict[str, float]:
+def correlation_report(assignments: Assignments) -> dict[str, float]:
     """Pairwise Pearson among fl_score, churn_propensity, emotion_binary, D."""
-    if len(assignments) < 3:
+    if len(assignments.ids) < 3:
         raise DegenerateColumn("need at least 3 customers")
-    if any(a.scores is None for a in assignments):
+    if assignments.fl_score is None:
         raise DegenerateColumn("assignments lack unimodal scores")
     columns = {
-        "fl_score": np.array([a.scores.fl_score for a in assignments]),
-        "churn_propensity": np.array([a.scores.churn_propensity for a in assignments]),
-        "emotion_binary": np.array([float(a.scores.emotion.binary) for a in assignments]),
-        "D": np.array([float(a.decision.D) for a in assignments]),
+        "fl_score": assignments.fl_score,
+        "churn_propensity": assignments.propensity,
+        "emotion_binary": assignments.emotion.astype(float),
+        "D": assignments.D.astype(float),
     }
     for name, col in columns.items():
         if np.std(col) == 0:
@@ -156,36 +155,30 @@ def correlation_report(assignments: list[RiskAssignment]) -> dict[str, float]:
 
 
 def evaluate_assignments(
-    assignments: list[RiskAssignment],
+    assignments: Assignments,
     truth: dict[str, str],
     churn_outcomes: dict[str, int] | None = None,
 ) -> MetricReport:
     """Full metric report for one strategy's assignments."""
-    predicted = [a.decision.risk for a in assignments]
-    true_labels = [truth[a.id] for a in assignments]
-    queries = build_risk_queries(assignments, truth)
+    predicted = assignments.risk.tolist()
+    true_labels = [truth[cid] for cid in assignments.ids]
     auc = None
     if churn_outcomes is not None:
-        props = [
-            a.scores.churn_propensity if a.scores is not None else a.decision.rank_score / 4.0
-            for a in assignments
-        ]
-        outcomes = [churn_outcomes[a.id] for a in assignments]
+        outcomes = [churn_outcomes[cid] for cid in assignments.ids]
         if len(set(outcomes)) == 2:
-            auc = roc_auc(props, outcomes)
-    correlations = {}
-    if all(a.scores is not None for a in assignments):
-        try:
-            correlations = correlation_report(assignments)
-        except DegenerateColumn:
-            correlations = {}
+            auc = roc_auc(assignments.propensity, outcomes)
+    try:
+        correlations = correlation_report(assignments)
+    except DegenerateColumn:  # too few customers, a constant column, or the baseline
+        correlations = {}
     return MetricReport(
-        map=mean_average_precision(queries),
+        map=mean_average_precision(build_risk_queries(assignments, truth)),
         macro_f1=macro_f1(predicted, true_labels),
         accuracy=accuracy(predicted, true_labels),
         auc=auc,
         per_class_f1=per_class_f1(predicted, true_labels),
         correlations=correlations,
+        risk_counts={level: predicted.count(level) for level in RISK_LABELS},
     )
 
 
@@ -201,4 +194,6 @@ def serialize_report(report: MetricReport) -> str:
         lines.append(f"f1_{cls}={score!r}")
     for pair, value in report.correlations.items():
         lines.append(f"corr_{pair}={value!r}")
+    for level, count in report.risk_counts.items():
+        lines.append(f"risk_{level}={count}")
     return "\n".join(lines) + "\n"

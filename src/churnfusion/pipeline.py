@@ -3,13 +3,16 @@
 One top-level seed drives everything: cohort generation, resampling,
 both network trainers, and the train/test split all derive their own
 streams from it, so a rerun with the same seed reproduces every artifact
-byte for byte.
+byte for byte. `assign` is the only place a fusion strategy is chosen;
+`run_experiment` feeds it models trained in process and the CLI feeds it
+models read from a workspace, so both write the same bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -159,69 +162,96 @@ def train_churn_baseline(train_table: CustomerTable, cfg: RunConfig) -> cm.Churn
     return cm.train_churn(X, y.astype(int), rfe_k, cfg.smote, cfg.churn_train)
 
 
-def compute_emotions(table, clips, ser, cfg: RunConfig):
-    return [
-        serm.predict_emotion(ser, build_feature_map(clips[r.audio_ref], cfg.features))
-        for r in table.rows
-    ]
+def compute_emotions(table, clips, ser, cfg: RunConfig) -> np.ndarray:
+    """Negative-emotion flag (0/1) per row, from the clip its audio_ref names."""
+    missing = [row.id for row in table.rows if row.audio_ref not in clips]
+    if missing:
+        raise MissingModality(f"{len(missing)} customers have no audio clip, first {missing[0]!r}")
+    maps = (build_feature_map(clips[row.audio_ref], cfg.features) for row in table.rows)
+    return np.array([serm.predict_emotion(ser, m) for m in maps], dtype=int)
+
+
+class Split:
+    """One seed's train/test split of a cohort, with the models it is scored by.
+
+    `source(split, name)` supplies the model called "fl", "ser", "churn" or
+    "churn_hybrid": `train_model` trains it in process, the CLI reads it
+    from a workspace. Each model and each side's emotion flags are made at
+    most once per split, whatever strategies ask for them.
+    """
+
+    def __init__(self, cohort: synth.SyntheticCohort, cfg: RunConfig, source):
+        self.cohort, self.cfg, self._source = cohort, cfg, source
+        self.train, self.test = split_table(cohort.table, cfg.test_fraction, cfg.seed)
+        self._models = {}
+
+    def model(self, name: str):
+        if name not in self._models:
+            self._models[name] = self._source(self, name)
+        return self._models[name]
+
+    @cached_property
+    def train_emotions(self) -> np.ndarray:
+        return compute_emotions(self.train, self.cohort.audio_clips, self.model("ser"), self.cfg)
+
+    @cached_property
+    def test_emotions(self) -> np.ndarray:
+        return compute_emotions(self.test, self.cohort.audio_clips, self.model("ser"), self.cfg)
+
+
+def train_model(split: Split, name: str):
+    """Train the named model on the split's training side."""
+    cfg = split.cfg
+    if name == "fl":
+        return train_fl(split.train, cfg)
+    if name == "ser":
+        return train_ser(cfg)
+    if name == "churn":
+        return train_churn_baseline(split.train, cfg)
+    if name == "churn_hybrid":
+        rfe_k = min(cfg.rfe_k + 2, split.train.schema.width + 2)
+        return fusion.train_hybrid_churn(
+            split.train, split.model("fl"), split.train_emotions, rfe_k, cfg.smote, cfg.churn_train
+        )
+    raise InvalidConfig(f"unknown model {name!r}")
+
+
+def assign(strategy: str, split: Split) -> fusion.Assignments:
+    """Score the split's test side under one fusion strategy."""
+    translation = split.cfg.translation
+    if strategy == "none":
+        return fusion.run_none_fusion(split.test, split.model("churn"), translation)
+    if strategy == "late":
+        return fusion.run_late_fusion(
+            split.test, split.model("fl"), split.model("churn"), split.test_emotions, translation
+        )
+    if strategy == "hybrid":
+        return fusion.run_hybrid_fusion(
+            split.test, split.model("fl"), split.model("churn_hybrid"), split.test_emotions,
+            translation,
+        )
+    raise InvalidConfig(f"unknown strategy {strategy!r}")
+
+
+def evaluate(assignments: fusion.Assignments, cohort: synth.SyntheticCohort):
+    """Metric report of one strategy's assignments against the cohort's truth."""
+    outcomes = {r.id: r.churn_outcome for r in cohort.table.rows}
+    return metrics.evaluate_assignments(assignments, cohort.ground_truth, outcomes)
 
 
 @dataclass
 class ExperimentResult:
-    assignments: dict[str, list[fusion.RiskAssignment]]
+    assignments: dict[str, fusion.Assignments]
     reports: dict[str, metrics.MetricReport]
-    baseline_auc: float | None
-    hybrid_auc: float | None
 
 
 def run_experiment(cfg: RunConfig, strategies=STRATEGIES) -> ExperimentResult:
     """Generate, train, and evaluate the requested strategies on one seed."""
     cohort = synth.generate_cohort(cfg.synth)
-    train_tbl, test_tbl = split_table(cohort.table, cfg.test_fraction, cfg.seed)
-    truth = cohort.ground_truth
-    outcomes = {r.id: r.churn_outcome for r in cohort.table.rows}
-
-    churn = train_churn_baseline(train_tbl, cfg)
-    need_multimodal = "late" in strategies or "hybrid" in strategies
-    fl = ser = None
-    train_emotions = test_emotions = None
-    if need_multimodal:
-        fl = train_fl(train_tbl, cfg)
-        ser = train_ser(cfg)
-        test_emotions = compute_emotions(test_tbl, cohort.audio_clips, ser, cfg)
-
-    assignments: dict[str, list[fusion.RiskAssignment]] = {}
-    reports: dict[str, metrics.MetricReport] = {}
-    hybrid_auc = None
-    for strategy in strategies:
-        if strategy == "none":
-            asg = fusion.run_none_fusion(test_tbl, churn, cfg.translation)
-        elif strategy == "late":
-            asg = fusion.run_late_fusion(
-                test_tbl, cohort.audio_clips, fl, ser, churn, cfg.translation,
-                cfg.features, emotions=test_emotions,
-            )
-        elif strategy == "hybrid":
-            if train_emotions is None:
-                train_emotions = compute_emotions(train_tbl, cohort.audio_clips, ser, cfg)
-            hybrid_churn = fusion.train_hybrid_churn(
-                train_tbl, cohort.audio_clips, fl, ser,
-                min(cfg.rfe_k + 2, cohort.table.schema.width + 2),
-                cfg.smote, cfg.churn_train, cfg.features, emotions=train_emotions,
-            )
-            asg = fusion.run_hybrid_fusion(
-                test_tbl, cohort.audio_clips, fl, ser, hybrid_churn, cfg.translation,
-                cfg.features, emotions=test_emotions,
-            )
-        else:
-            raise InvalidConfig(f"unknown strategy {strategy!r}")
-        assignments[strategy] = asg
-        reports[strategy] = metrics.evaluate_assignments(asg, truth, outcomes)
-
-    baseline_auc = reports["none"].auc if "none" in reports else None
-    if "hybrid" in reports:
-        hybrid_auc = reports["hybrid"].auc
-    return ExperimentResult(assignments, reports, baseline_auc, hybrid_auc)
+    split = Split(cohort, cfg, train_model)
+    assignments = {strategy: assign(strategy, split) for strategy in strategies}
+    reports = {strategy: evaluate(a, cohort) for strategy, a in assignments.items()}
+    return ExperimentResult(assignments, reports)
 
 
 def compare_over_seeds(cfg: RunConfig, strategies=STRATEGIES):

@@ -1,8 +1,8 @@
 """Binary emotion classifier on flattened acoustic feature maps.
 
 A compact MLP stands in for a heavyweight pretrained image backbone: the
-fusion layer only needs a calibrated positive/negative probability, and a
-small net keeps the gradients checkable.
+fusion layer only needs a positive/negative flag, and a small net keeps
+the gradients checkable.
 """
 
 from __future__ import annotations
@@ -14,14 +14,10 @@ import numpy as np
 
 from . import mlp
 from .audio_features import FeatureMap
-from .data_model import EmotionPrediction
 from .errors import DegenerateData, ShapeMismatch
 
 MAGIC = b"SERM"
 VERSION = 1
-
-# representative four-way labels when only binary information exists
-BINARY_TO_LABEL = {0: "Neutral", 1: "Anger"}
 
 
 @dataclass
@@ -69,12 +65,9 @@ def predict_proba(model: EmotionModel, feature_map: FeatureMap) -> float:
     return float(mlp.forward(model.params, feature_map.image.ravel()[None, :])[0])
 
 
-def predict_emotion(model: EmotionModel, feature_map: FeatureMap) -> EmotionPrediction:
-    """Binary decision with the probability of the chosen class as confidence."""
-    p_negative = predict_proba(model, feature_map)
-    binary = int(p_negative >= 0.5)
-    confidence = p_negative if binary == 1 else 1.0 - p_negative
-    return EmotionPrediction(label=BINARY_TO_LABEL[binary], binary=binary, confidence=confidence)
+def predict_emotion(model: EmotionModel, feature_map: FeatureMap) -> int:
+    """Negative-emotion flag: 1 when the negative class is at least as likely."""
+    return int(predict_proba(model, feature_map) >= 0.5)
 
 
 def save_emotion_model(model: EmotionModel) -> bytes:

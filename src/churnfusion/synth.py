@@ -24,6 +24,7 @@ from .data_model import (
     CustomerRecord,
     CustomerTable,
     TableSchema,
+    map_emotion_to_binary,
     serialize_customer_table,
     parse_customer_table,
 )
@@ -206,7 +207,7 @@ def generate_ser_corpus(
     for rep in range(n_per_class):
         for li, label in enumerate(all_labels):
             clips.append(synth_audio(label, duration_s, [seed, 7919, rep, li]))
-            labels.append(0 if label in POSITIVE_LABELS else 1)
+            labels.append(map_emotion_to_binary(label))
     return clips, labels
 
 

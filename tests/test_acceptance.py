@@ -56,10 +56,10 @@ def test_criterion_01_fusion_partition_exhaustive():
     }
     mismatches = []
     for c, f, v in itertools.product((0, 2), (0, 1), (0, 1)):
-        decision = fusion.decision_fuse(fusion.IndicatorTriple(c, f, v))
-        fired = [decision.risk == level for level in RISK_LABELS]
-        if fired.count(True) != 1 or decision.risk != expected[(c, f, v)]:
-            mismatches.append((c, f, v, decision.risk))
+        risk = str(fusion.decide(c, f, v))
+        fired = [risk == level for level in RISK_LABELS]
+        if fired.count(True) != 1 or risk != expected[(c, f, v)]:
+            mismatches.append((c, f, v, risk))
     report("1 fusion partition", not mismatches, f"8 triples checked, mismatches={mismatches}")
 
 

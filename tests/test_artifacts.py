@@ -3,7 +3,8 @@
 The CLI sequence gen, train fl/ser/churn, evaluate none/late/hybrid runs
 on acceptance criterion 10's config, and every workspace file it writes
 must hash to the sha256 pinned here: cohort files, WAV clips, model blobs,
-assignment tables and metric reports.
+assignment tables and metric reports. `pipeline.run_experiment` on the
+same config and seed must produce the same assignment and report bytes.
 """
 
 import contextlib
@@ -12,7 +13,7 @@ import io
 
 import pytest
 
-from churnfusion import cli, pipeline
+from churnfusion import cli, fusion, metrics, pipeline
 
 GOLDEN_CONFIG = (
     "seed = 7\n"
@@ -129,3 +130,16 @@ def test_workspace_bytes_match_golden(golden_workspace):
     hashes = file_hashes(golden_workspace)
     assert len(hashes) == 73
     assert hashes == GOLDEN_WORKSPACE_SHA256
+
+
+def test_pipeline_and_cli_write_the_same_bytes(golden_workspace):
+    cfg = pipeline.with_seed(pipeline.parse_config_text(GOLDEN_CONFIG), 7)
+    result = pipeline.run_experiment(cfg)
+    reports = golden_workspace / "reports"
+    for strategy in pipeline.STRATEGIES:
+        assert fusion.serialize_assignments(result.assignments[strategy]) == (
+            reports / f"assignments_{strategy}.csv"
+        ).read_bytes(), strategy
+        assert metrics.serialize_report(result.reports[strategy]) == (
+            reports / f"report_{strategy}.txt"
+        ).read_text(encoding="utf-8"), strategy

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import median_filter
 
 from churnfusion import audio_features as af
@@ -124,9 +125,26 @@ def ndimage_median(x, k, axis):
     return median_filter(x, size=size, mode="reflect")
 
 
+def reference_median(x, k, axis):
+    """Explicit windows: pad by k//2 with repeated edges, then np.median."""
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (k // 2, k // 2)
+    windows = sliding_window_view(np.pad(x, pad, mode="symmetric"), k, axis=axis)
+    return np.median(windows, axis=-1)
+
+
 def assert_same_bytes(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype
     assert a.tobytes() == b.tobytes()
+
+
+def assert_median_along_exact(x, k, axis):
+    """Equal to the explicit reference at every length, and to ndimage's 2-D
+    footprint filter except on a length-2 axis, where ndimage is wrong."""
+    got = af._median_along(x, k, axis)
+    assert_same_bytes(got, reference_median(x, k, axis))
+    if x.shape[axis] != 2:
+        assert_same_bytes(got, ndimage_median(x, k, axis))
 
 
 class TestMedianAlong:
@@ -136,7 +154,7 @@ class TestMedianAlong:
         rng = np.random.default_rng([k, axis])
         for n in range(1, 41):
             x = rng.random((n, 7) if axis == 0 else (7, n))
-            assert_same_bytes(af._median_along(x, k, axis), ndimage_median(x, k, axis))
+            assert_median_along_exact(x, k, axis)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -154,16 +172,34 @@ class TestMedianAlong:
         rng = np.random.default_rng(seed)
         shape = (n, other) if axis == 0 else (other, n)
         x = rng.integers(0, levels, shape).astype(float) if levels else rng.standard_normal(shape)
-        assert_same_bytes(af._median_along(x, k, axis), ndimage_median(x, k, axis))
+        assert_median_along_exact(x, k, axis)
 
-    def test_short_axis_needs_the_2d_fallback(self):
-        # why _median_along falls back: on a length-2 row the padded line
-        # and ndimage's 2-D filter disagree
-        x = np.array([[2.0, 1.0]])
-        padded = np.pad(x, ((0, 0), (8, 8)), mode="symmetric")
-        line = median_filter(padded.ravel(), size=17, mode="reflect")[8:10]
-        assert line.tobytes() != ndimage_median(x, 17, 1).ravel().tobytes()
-        assert_same_bytes(af._median_along(x, 17, 1), ndimage_median(x, 17, 1))
+    def test_length_two_axis_uses_own_row_values(self):
+        # ndimage's 2-D footprint filter on a length-2 axis draws values from
+        # other rows; each median here is a value of its own row
+        x = np.random.default_rng(0).random((3, 2))
+        for k in (17, 31):
+            got = af._median_along(x, k, 1)
+            assert_same_bytes(got, reference_median(x, k, 1))
+            assert all(set(g) <= set(row) for g, row in zip(got, x))
+            assert_same_bytes(af._median_along(x.T, k, 0), got.T)
+        assert not np.array_equal(ndimage_median(x, 17, 1), reference_median(x, 17, 1))
+
+    def test_two_frame_clip_map(self):
+        # 1280 samples at 1024/256 framing give exactly 2 frames
+        clip = AudioClip(np.random.default_rng(1).uniform(-0.5, 0.5, 1280), SR)
+        spec = stft_magnitude(clip, 1024, 256)
+        mags = spec.magnitudes
+        assert mags.shape[1] == 2
+        harm_enh, perc_enh = reference_median(mags, 17, 1), reference_median(mags, 17, 0)
+        denom = harm_enh**2 + perc_enh**2
+        silent = denom <= EPS
+        safe = np.where(silent, 1.0, denom)
+        harm, perc = hpss_median(spec)
+        assert_same_bytes(harm.magnitudes, mags * np.where(silent, 0.5, harm_enh**2 / safe))
+        assert_same_bytes(perc.magnitudes, mags * np.where(silent, 0.5, perc_enh**2 / safe))
+        image = build_feature_map(clip).image
+        assert image.shape == (3, 64) and np.all(np.isfinite(image))
 
 
 class TestFilterbankCache:

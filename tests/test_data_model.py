@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from churnfusion.data_model import (
     CustomerRecord,
     CustomerTable,
-    EmotionPrediction,
     TableSchema,
     map_emotion_to_binary,
     parse_customer_table,
@@ -83,13 +82,6 @@ def test_emotion_binary_mapping(label, expected):
 def test_unknown_emotion_label():
     with pytest.raises(UnknownLabel):
         map_emotion_to_binary("Fear")
-
-
-def test_emotion_prediction_consistency_enforced():
-    with pytest.raises(ValueError):
-        EmotionPrediction(label="Happiness", binary=1, confidence=0.9)
-    pred = EmotionPrediction(label="Anger", binary=1, confidence=0.7)
-    assert pred.binary == 1
 
 
 def test_record_invariants():

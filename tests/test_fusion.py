@@ -5,49 +5,65 @@ import pytest
 
 from churnfusion import churn_model as cm
 from churnfusion import fl_model as flm
-from churnfusion import fusion
+from churnfusion import fusion, pipeline
 from churnfusion import ser_model
 from churnfusion.audio_features import FeatureParams, build_feature_map
-from churnfusion.data_model import (
-    CustomerTable,
-    EmotionPrediction,
-    ModalityScores,
-    RISK_LABELS,
-)
+from churnfusion.data_model import CustomerTable, RISK_LABELS
 from churnfusion.errors import InvalidTriple, MissingModality
 from churnfusion.mlp import TrainConfig
 from churnfusion.synth import SynthConfig, generate_cohort, generate_ser_corpus
 
-NEUTRAL = EmotionPrediction("Neutral", 0, 0.9)
-ANGER = EmotionPrediction("Anger", 1, 0.9)
+FIELDS = ("fl_score", "propensity", "emotion", "C", "F", "V", "risk", "rank_score")
 
 
-def scores(fl=0.8, churn=0.2, emotion=NEUTRAL):
-    return ModalityScores(fl_score=fl, churn_propensity=churn, emotion=emotion)
+def fuse_one(fl=0.8, churn=0.2, emotion=0, cfg=fusion.TranslationConfig()):
+    return fusion.fuse(["a"], np.array([fl]), np.array([churn]), np.array([emotion]), cfg)
+
+
+def triple(fl=0.8, churn=0.2, emotion=0, cfg=fusion.TranslationConfig()):
+    """(C, F, V) of one customer's scores."""
+    a = fuse_one(fl, churn, emotion, cfg)
+    return int(a.C[0]), int(a.F[0]), int(a.V[0])
+
+
+def decide_one(c, f, v):
+    return str(fusion.decide(c, f, v))
+
+
+def assert_same_columns(a, b):
+    assert a.ids == b.ids
+    for name in FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert np.array_equal(x, y), name
+
+
+def reversed_rows(a):
+    columns = (getattr(a, name) for name in FIELDS)
+    return fusion.Assignments(a.ids[::-1], *(None if c is None else c[::-1] for c in columns))
 
 
 class TestTranslate:
     def test_low_literacy_fires_f(self):
-        assert fusion.translate(scores(fl=0.3)).F == 1
+        assert triple(fl=0.3)[1] == 1
 
     def test_literacy_at_threshold_does_not_fire(self):
-        assert fusion.translate(scores(fl=0.5)).F == 0
+        assert triple(fl=0.5)[1] == 0
 
     def test_churn_at_threshold_keeps_c_zero(self):
-        assert fusion.translate(scores(churn=0.5)).C == 0
+        assert triple(churn=0.5)[0] == 0
 
     def test_churn_above_threshold_fires_weighted(self):
-        assert fusion.translate(scores(churn=0.51)).C == 2
+        assert triple(churn=0.51)[0] == 2
 
     def test_negative_emotion_fires_v(self):
-        sadness = EmotionPrediction("Sadness", 1, 0.7)
-        assert fusion.translate(scores(emotion=sadness)).V == 1
-        assert fusion.translate(scores(emotion=NEUTRAL)).V == 0
+        assert triple(emotion=1)[2] == 1
+        assert triple(emotion=0)[2] == 0
 
     def test_custom_weights(self):
         cfg = fusion.TranslationConfig(weights=(4, 2, 2))
-        triple = fusion.translate(scores(fl=0.1, churn=0.9, emotion=ANGER), cfg)
-        assert (triple.C, triple.F, triple.V) == (4, 2, 2)
+        assert triple(fl=0.1, churn=0.9, emotion=1, cfg=cfg) == (4, 2, 2)
 
     def test_weight_constraint_enforced(self):
         with pytest.raises(ValueError):
@@ -72,36 +88,31 @@ class TestDecisionFuse:
     @pytest.mark.parametrize("triple,expected", sorted(EXPECTED_RISK.items()))
     def test_exhaustive_mapping(self, triple, expected):
         c, f, v = triple
-        decision = fusion.decision_fuse(fusion.IndicatorTriple(c, f, v))
-        assert decision.risk == expected
-        assert decision.D == c + f + v
+        assert decide_one(c, f, v) == expected
 
     def test_partition_exactly_one_class(self):
         for c, f, v in itertools.product((0, 2), (0, 1), (0, 1)):
-            risk = fusion.decision_fuse(fusion.IndicatorTriple(c, f, v)).risk
+            risk = decide_one(c, f, v)
             assert risk in RISK_LABELS
             assert [risk == r for r in RISK_LABELS].count(True) == 1
 
     def test_monotone_in_each_indicator(self):
         order = {r: i for i, r in enumerate(RISK_LABELS)}
         for c, f, v in itertools.product((0, 2), (0, 1), (0, 1)):
-            base = order[fusion.decision_fuse(fusion.IndicatorTriple(c, f, v)).risk]
-            for flipped in (
-                fusion.IndicatorTriple(2, f, v),
-                fusion.IndicatorTriple(c, 1, v),
-                fusion.IndicatorTriple(c, f, 1),
-            ):
-                assert order[fusion.decision_fuse(flipped).risk] >= base
+            base = order[decide_one(c, f, v)]
+            for flipped in ((2, f, v), (c, 1, v), (c, f, 1)):
+                assert order[decide_one(*flipped)] >= base
 
     def test_rank_score_adds_scaled_propensity(self):
-        d = fusion.decision_fuse(fusion.IndicatorTriple(2, 1, 0), churn_propensity=0.6)
-        assert d.rank_score == pytest.approx(3.06)
+        a = fuse_one(fl=0.3, churn=0.6, emotion=0)
+        assert (triple(fl=0.3, churn=0.6), a.D[0], a.risk[0]) == ((2, 1, 0), 3, "high")
+        assert a.rank_score[0] == pytest.approx(3.06)
 
     def test_invalid_triple(self):
         with pytest.raises(InvalidTriple):
-            fusion.decision_fuse(fusion.IndicatorTriple(1, 0, 0))
+            fusion.decide([1], [0], [0])
         with pytest.raises(InvalidTriple):
-            fusion.decision_fuse(fusion.IndicatorTriple(0, 3, 0))
+            fusion.decide([0], [3], [0])
 
 
 @pytest.fixture(scope="module")
@@ -118,58 +129,54 @@ def small_world():
     churn = cm.train_churn(
         cohort.table.feature_matrix(), y, rfe_k=6, hyper=TrainConfig(epochs=60, seed=1)
     )
-    return cohort, fl_model, emo_model, churn, params
+    cfg = pipeline.RunConfig(features=params)
+    emotions = pipeline.compute_emotions(cohort.table, cohort.audio_clips, emo_model, cfg)
+    return cohort, fl_model, emo_model, churn, emotions, cfg
 
 
 class TestRunLateFusion:
     def test_composition_single_customer(self, small_world):
-        cohort, fl_model, emo_model, churn, params = small_world
+        cohort, fl_model, _, churn, emotions, _ = small_world
         one = CustomerTable(cohort.table.schema, cohort.table.rows[:1])
-        out = fusion.run_late_fusion(
-            one, cohort.audio_clips, fl_model, emo_model, churn, params=params
-        )
-        assert len(out) == 1
-        a = out[0]
-        assert a.id == one.rows[0].id
-        expected = fusion.decision_fuse(
-            fusion.translate(a.scores), a.scores.churn_propensity
-        )
-        assert a.decision == expected
+        out = fusion.run_late_fusion(one, fl_model, churn, emotions[:1])
+        assert out.ids == (one.rows[0].id,)
+        assert len(out.risk) == 1
+        expected = fusion.fuse(out.ids, out.fl_score, out.propensity, out.emotion)
+        assert_same_columns(out, expected)
+        assert out.risk[0] == decide_one(out.C[0], out.F[0], out.V[0])
 
     def test_permutation_equivariance(self, small_world):
-        cohort, fl_model, emo_model, churn, params = small_world
-        fwd = fusion.run_late_fusion(
-            cohort.table, cohort.audio_clips, fl_model, emo_model, churn, params=params
-        )
+        cohort, fl_model, emo_model, churn, emotions, cfg = small_world
+        fwd = fusion.run_late_fusion(cohort.table, fl_model, churn, emotions)
         flipped = CustomerTable(cohort.table.schema, cohort.table.rows[::-1])
-        rev = fusion.run_late_fusion(
-            flipped, cohort.audio_clips, fl_model, emo_model, churn, params=params
-        )
-        assert rev == fwd[::-1]
+        flipped_emotions = pipeline.compute_emotions(flipped, cohort.audio_clips, emo_model, cfg)
+        rev = fusion.run_late_fusion(flipped, fl_model, churn, flipped_emotions)
+        assert_same_columns(rev, reversed_rows(fwd))
 
     def test_deterministic(self, small_world):
-        cohort, fl_model, emo_model, churn, params = small_world
-        a = fusion.run_late_fusion(
-            cohort.table, cohort.audio_clips, fl_model, emo_model, churn, params=params
-        )
-        b = fusion.run_late_fusion(
-            cohort.table, cohort.audio_clips, fl_model, emo_model, churn, params=params
-        )
-        assert a == b
+        cohort, fl_model, _, churn, emotions, _ = small_world
+        a = fusion.run_late_fusion(cohort.table, fl_model, churn, emotions)
+        b = fusion.run_late_fusion(cohort.table, fl_model, churn, emotions)
+        assert_same_columns(a, b)
 
     def test_missing_audio_rejected(self, small_world):
-        cohort, fl_model, emo_model, churn, params = small_world
+        cohort, fl_model, emo_model, churn, emotions, cfg = small_world
         with pytest.raises(MissingModality):
-            fusion.run_late_fusion(
-                cohort.table, {}, fl_model, emo_model, churn, params=params
-            )
+            pipeline.compute_emotions(cohort.table, {}, emo_model, cfg)
+        first = cohort.table.rows[0]
+        no_ref = CustomerTable(
+            cohort.table.schema,
+            (type(first)(id=first.id, features=first.features, audio_ref=None),),
+        )
+        with pytest.raises(MissingModality):
+            pipeline.compute_emotions(no_ref, cohort.audio_clips, emo_model, cfg)
+        with pytest.raises(MissingModality):
+            fusion.run_late_fusion(cohort.table, fl_model, churn, emotions[:-1])
 
     def test_high_risk_enriched_in_true_high_tier(self, small_world):
-        cohort, fl_model, emo_model, churn, params = small_world
-        out = fusion.run_late_fusion(
-            cohort.table, cohort.audio_clips, fl_model, emo_model, churn, params=params
-        )
-        flagged = [a.id for a in out if a.decision.risk == "high"]
+        cohort, fl_model, _, churn, emotions, _ = small_world
+        out = fusion.run_late_fusion(cohort.table, fl_model, churn, emotions)
+        flagged = [cid for cid, risk in zip(out.ids, out.risk) if risk == "high"]
         assert flagged
         base_rate = np.mean([cohort.ground_truth[i] == "high" for i in cohort.ground_truth])
         hit_rate = np.mean([cohort.ground_truth[i] == "high" for i in flagged])
@@ -178,19 +185,16 @@ class TestRunLateFusion:
 
 class TestRunHybridFusion:
     def test_deterministic_assignments(self, small_world):
-        cohort, fl_model, emo_model, _, params = small_world
+        cohort, fl_model, _, _, emotions, _ = small_world
         def run():
             hybrid = fusion.train_hybrid_churn(
-                cohort.table, cohort.audio_clips, fl_model, emo_model,
-                rfe_k=6, hyper=TrainConfig(epochs=40, seed=2), params=params,
+                cohort.table, fl_model, emotions, rfe_k=6, hyper=TrainConfig(epochs=40, seed=2)
             )
-            return fusion.run_hybrid_fusion(
-                cohort.table, cohort.audio_clips, fl_model, emo_model, hybrid, params=params
-            )
-        assert run() == run()
+            return fusion.run_hybrid_fusion(cohort.table, fl_model, hybrid, emotions)
+        assert_same_columns(run(), run())
 
     def test_augmented_width_checked(self, small_world):
-        cohort, fl_model, emo_model, _, params = small_world
+        cohort, fl_model, _, _, emotions, _ = small_world
         width = cohort.table.schema.width
         bad = cm.ChurnModel(
             selected_features=(width + 2,),
@@ -199,9 +203,7 @@ class TestRunHybridFusion:
             norm_std=np.ones(1),
         )
         with pytest.raises(Exception):
-            fusion.run_hybrid_fusion(
-                cohort.table, cohort.audio_clips, fl_model, emo_model, bad, params=params
-            )
+            fusion.run_hybrid_fusion(cohort.table, fl_model, bad, emotions)
 
     def test_augment_features_layout(self):
         X = np.arange(6, dtype=float).reshape(2, 3)
@@ -214,7 +216,7 @@ class TestRunHybridFusion:
     def test_agrees_with_late_when_augmented_columns_constant(self, small_world):
         # degenerate check: constant FL/emotion columns add no signal, so a
         # churn model trained on them ranks customers like the plain model
-        cohort, _, _, _, _ = small_world
+        cohort = small_world[0]
         X = cohort.table.feature_matrix()
         y = np.array([r.churn_outcome for r in cohort.table.rows])
         cfg = TrainConfig(epochs=60, seed=5)
@@ -230,41 +232,46 @@ class TestRunHybridFusion:
 
 class TestRunNoneFusion:
     def test_banding(self, small_world):
-        cohort, _, _, churn, _ = small_world
+        cohort, _, _, churn, _, _ = small_world
         out = fusion.run_none_fusion(cohort.table, churn)
         props = cm.predict_churn_batch(churn, cohort.table.feature_matrix())
-        for a, p in zip(out, props):
+        for risk, c, rank, p in zip(out.risk, out.C, out.rank_score, props):
             if p <= 0.5:
-                assert a.decision.risk == "low" and a.triple.C == 0
+                assert risk == "low" and c == 0
             elif p <= 0.75:
-                assert a.decision.risk == "mid" and a.triple.C == 2
+                assert risk == "mid" and c == 2
             else:
-                assert a.decision.risk == "high" and a.triple.C == 2
-            assert a.decision.rank_score == pytest.approx(4.0 * p)
-            assert a.scores is None
+                assert risk == "high" and c == 2
+            assert rank == pytest.approx(4.0 * p)
+        assert out.fl_score is None and out.emotion is None
+        # AUC ranks by propensity, which is the rank score over 4 bit for bit
+        assert np.array_equal(out.propensity, props)
+        assert np.array_equal(out.rank_score / 4.0, out.propensity)
 
     def test_triples_use_churn_only(self, small_world):
-        cohort, _, _, churn, _ = small_world
-        for a in fusion.run_none_fusion(cohort.table, churn):
-            assert a.triple.F == 0 and a.triple.V == 0
+        cohort, _, _, churn, _, _ = small_world
+        out = fusion.run_none_fusion(cohort.table, churn)
+        assert np.all(out.F == 0) and np.all(out.V == 0)
+        assert np.array_equal(out.D, out.C)
 
 
 class TestSerializeAssignments:
     def test_header_and_row_shape(self, small_world):
-        cohort, fl_model, emo_model, churn, params = small_world
-        out = fusion.run_late_fusion(
-            cohort.table, cohort.audio_clips, fl_model, emo_model, churn, params=params
-        )
+        cohort, fl_model, _, churn, emotions, _ = small_world
+        out = fusion.run_late_fusion(cohort.table, fl_model, churn, emotions)
         text = fusion.serialize_assignments(out).decode("utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(fusion.ASSIGNMENT_HEADER)
-        assert len(lines) == len(out) + 1
+        assert len(lines) == len(out.ids) + 1
         first = lines[1].split(",")
-        assert first[0] == out[0].id
+        assert first[0] == out.ids[0]
         assert first[8] in RISK_LABELS
+        assert first[1:4] == [repr(float(out.fl_score[0])), repr(float(out.propensity[0])),
+                              str(out.emotion[0])]
+        assert first[9] == repr(float(out.rank_score[0]))
 
     def test_none_strategy_blank_scores(self, small_world):
-        cohort, _, _, churn, _ = small_world
+        cohort, _, _, churn, _, _ = small_world
         out = fusion.run_none_fusion(cohort.table, churn)
         lines = fusion.serialize_assignments(out).decode("utf-8").strip().split("\n")
         first = lines[1].split(",")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from churnfusion import metrics
-from churnfusion.data_model import EmotionPrediction, ModalityScores
 from churnfusion.errors import (
     DegenerateColumn,
     EmptyQuerySet,
@@ -12,7 +11,7 @@ from churnfusion.errors import (
     NoRelevant,
     SingleClass,
 )
-from churnfusion.fusion import FusionDecision, IndicatorTriple, RiskAssignment
+from churnfusion.fusion import Assignments
 
 
 def brute_force_ap(rel, m):
@@ -168,34 +167,38 @@ class TestRocAuc:
             assert abs(metrics.roc_auc(scores, labels) - expected) < 1e-12
 
 
-def assignment(cid, fl, churn, emo_binary, triple, risk, rank):
-    label = "Anger" if emo_binary else "Neutral"
-    return RiskAssignment(
-        id=cid,
-        scores=ModalityScores(fl, churn, EmotionPrediction(label, emo_binary, 0.9)),
-        triple=triple,
-        decision=FusionDecision(D=triple.D, risk=risk, triple=triple, rank_score=rank),
+def make_assignments(rows):
+    """Columns from rows of (id, fl, churn, emotion flag, (C, F, V), risk, rank)."""
+    ids, fl, churn, emo, triples, risk, rank = zip(*rows)
+    C, F, V = (np.array(col) for col in zip(*triples))
+    return Assignments(
+        ids, np.array(fl), np.array(churn), np.array(emo), C, F, V, np.array(risk), np.array(rank)
     )
 
 
-def cohort_assignments():
-    t_low = IndicatorTriple(0, 0, 0)
-    t_mid = IndicatorTriple(0, 1, 1)
-    t_high = IndicatorTriple(2, 1, 1)
-    return [
-        assignment("a", 0.9, 0.1, 0, t_low, "low", 0.01),
-        assignment("b", 0.8, 0.2, 0, t_low, "low", 0.02),
-        assignment("c", 0.4, 0.3, 1, t_mid, "mid", 2.03),
-        assignment("d", 0.3, 0.4, 1, t_mid, "mid", 2.04),
-        assignment("e", 0.2, 0.9, 1, t_high, "high", 4.09),
-        assignment("f", 0.1, 0.8, 1, t_high, "high", 4.08),
-    ]
+T_LOW, T_MID, T_HIGH = (0, 0, 0), (0, 1, 1), (2, 1, 1)
+COHORT_ROWS = [
+    ("a", 0.9, 0.1, 0, T_LOW, "low", 0.01),
+    ("b", 0.8, 0.2, 0, T_LOW, "low", 0.02),
+    ("c", 0.4, 0.3, 1, T_MID, "mid", 2.03),
+    ("d", 0.3, 0.4, 1, T_MID, "mid", 2.04),
+    ("e", 0.2, 0.9, 1, T_HIGH, "high", 4.09),
+    ("f", 0.1, 0.8, 1, T_HIGH, "high", 4.08),
+]
+
+
+def cohort_assignments(rows=COHORT_ROWS):
+    return make_assignments(rows)
+
+
+def own_bands(assigns):
+    return dict(zip(assigns.ids, assigns.risk.tolist()))
 
 
 class TestBuildRiskQueries:
     def test_affinity_ordering_per_level(self):
         assigns = cohort_assignments()
-        truth = {a.id: a.decision.risk for a in assigns}
+        truth = own_bands(assigns)
         queries = {q.level: q for q in metrics.build_risk_queries(assigns, truth)}
         assert queries["low"].ranked_ids[:2] == ("a", "b")
         assert queries["high"].ranked_ids[:2] == ("e", "f")
@@ -203,13 +206,13 @@ class TestBuildRiskQueries:
 
     def test_perfect_assignments_reach_map_one(self):
         assigns = cohort_assignments()
-        truth = {a.id: a.decision.risk for a in assigns}
+        truth = own_bands(assigns)
         queries = metrics.build_risk_queries(assigns, truth)
         assert metrics.mean_average_precision(queries) == 1.0
 
     def test_absent_level_skipped(self):
         assigns = cohort_assignments()
-        truth = {a.id: "low" for a in assigns}
+        truth = {cid: "low" for cid in assigns.ids}
         queries = metrics.build_risk_queries(assigns, truth)
         assert [q.level for q in queries] == ["low"]
 
@@ -223,43 +226,43 @@ class TestCorrelationReport:
         assert report["churn_propensity~D"] > 0.9
 
     def test_self_correlation_via_numpy_definition(self):
-        col = np.array([a.scores.fl_score for a in cohort_assignments()])
+        col = cohort_assignments().fl_score
         assert np.corrcoef(col, col)[0, 1] == pytest.approx(1.0)
         assert np.corrcoef(col, -col)[0, 1] == pytest.approx(-1.0)
 
     def test_constant_column_rejected(self):
-        t = IndicatorTriple(0, 0, 0)
-        assigns = [assignment(c, 0.5, 0.5, 0, t, "low", 0.05) for c in "abc"]
+        assigns = make_assignments([(c, 0.5, 0.5, 0, T_LOW, "low", 0.05) for c in "abc"])
         with pytest.raises(DegenerateColumn):
             metrics.correlation_report(assigns)
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(DegenerateColumn):
-            metrics.correlation_report(cohort_assignments()[:2])
+            metrics.correlation_report(cohort_assignments(COHORT_ROWS[:2]))
 
 
 class TestEvaluateAssignments:
     def test_full_report_on_perfect_cohort(self):
         assigns = cohort_assignments()
-        truth = {a.id: a.decision.risk for a in assigns}
+        truth = own_bands(assigns)
         outcomes = {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1, "f": 1}
         report = metrics.evaluate_assignments(assigns, truth, outcomes)
         assert report.map == 1.0
         assert report.macro_f1 == 1.0
         assert report.accuracy == 1.0
         assert report.auc == metrics.roc_auc(
-            [a.scores.churn_propensity for a in assigns], [outcomes[a.id] for a in assigns]
+            assigns.propensity, [outcomes[cid] for cid in assigns.ids]
         )
         assert set(report.per_class_f1) == {"low", "mid", "high"}
+        assert report.risk_counts == {"low": 2, "mid": 2, "high": 2}
 
     def test_auc_none_without_outcomes(self):
         assigns = cohort_assignments()
-        truth = {a.id: a.decision.risk for a in assigns}
+        truth = own_bands(assigns)
         assert metrics.evaluate_assignments(assigns, truth).auc is None
 
     def test_serialize_report_round_trips_values(self):
         assigns = cohort_assignments()
-        truth = {a.id: a.decision.risk for a in assigns}
+        truth = own_bands(assigns)
         report = metrics.evaluate_assignments(assigns, truth)
         text = metrics.serialize_report(report)
         fields = dict(line.split("=", 1) for line in text.strip().split("\n"))
@@ -267,3 +270,5 @@ class TestEvaluateAssignments:
         assert float(fields["macro_f1"]) == report.macro_f1
         assert fields["auc"] == ""
         assert float(fields["f1_low"]) == report.per_class_f1["low"]
+        assert [fields[f"risk_{level}"] for level in ("low", "mid", "high")] == ["2", "2", "2"]
+        assert text.endswith("risk_low=2\nrisk_mid=2\nrisk_high=2\n")

@@ -97,15 +97,13 @@ class TestRunExperiment:
         for rep in result.reports.values():
             assert 0.0 <= rep.map <= 1.0
             assert 0.0 <= rep.macro_f1 <= 1.0
-        assert result.baseline_auc == result.reports["none"].auc
-        assert result.hybrid_auc == result.reports["hybrid"].auc
 
     def test_assignments_cover_test_split(self, small_cfg):
         result = pipeline.run_experiment(small_cfg, strategies=("none", "late"))
         cohort = generate_cohort(small_cfg.synth)
         _, test_tbl = pipeline.split_table(cohort.table, small_cfg.test_fraction, small_cfg.seed)
         for strategy in ("none", "late"):
-            assert [a.id for a in result.assignments[strategy]] == test_tbl.ids()
+            assert list(result.assignments[strategy].ids) == test_tbl.ids()
 
     def test_compare_over_seeds_shapes(self, small_cfg):
         rows = pipeline.compare_over_seeds(small_cfg, strategies=("none",))

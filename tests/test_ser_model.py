@@ -34,7 +34,7 @@ def test_separable_blobs_reach_high_accuracy():
     # independent oracle first: the task really is separable
     assert nearest_centroid_accuracy(maps, labels) >= 0.95
     model = ser_model.train_emotion(maps, labels, TrainConfig(epochs=60, seed=0))
-    preds = [ser_model.predict_emotion(model, m).binary for m in maps]
+    preds = [ser_model.predict_emotion(model, m) for m in maps]
     assert np.mean(np.array(preds) == np.array(labels)) >= 0.95
 
 
@@ -55,17 +55,17 @@ def test_training_is_deterministic():
 def test_prediction_contracts():
     maps, labels = blob_maps(n_per_class=5)
     model = ser_model.train_emotion(maps, labels, TrainConfig(epochs=10))
-    pred = ser_model.predict_emotion(model, maps[0])
-    assert pred.binary in (0, 1)
-    assert 0.0 <= pred.confidence <= 1.0
-    assert pred.label in ("Neutral", "Anger")
+    for m in maps:
+        pred = ser_model.predict_emotion(model, m)
+        assert type(pred) is int and pred in (0, 1)
+        assert pred == int(ser_model.predict_proba(model, m) >= 0.5)
 
 
 def test_training_example_agrees_with_centroid_oracle():
     maps, labels = blob_maps(separation=4.0)
     model = ser_model.train_emotion(maps, labels, TrainConfig(epochs=60, seed=1))
     class1_example = maps[labels.index(1)]
-    assert ser_model.predict_emotion(model, class1_example).binary == 1
+    assert ser_model.predict_emotion(model, class1_example) == 1
 
 
 def test_class_probabilities_sum_to_one():
