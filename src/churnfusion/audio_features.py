@@ -53,10 +53,6 @@ class Spectrogram:
             raise ValueError("magnitudes must be finite and non-negative")
         object.__setattr__(self, "magnitudes", mags)
 
-    @property
-    def bin_frequencies(self) -> np.ndarray:
-        return np.arange(self.magnitudes.shape[0]) * self.sample_rate / self.frame_size
-
 
 @dataclass(frozen=True)
 class FeatureMap:

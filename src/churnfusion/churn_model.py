@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mlp
-from .errors import BadK, DimensionMismatch, SingleClass, TooFewMinority
+from .errors import BadK, DimensionMismatch, MissingModality, SingleClass, TooFewMinority
 
 MAGIC = b"CHRN"
 VERSION = 1
@@ -127,6 +127,8 @@ def train_churn(
     """RFE -> normalize -> SMOTE -> MLP, deterministic per seed."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).astype(int).ravel()
+    if not np.isin(y, (0, 1)).all():
+        raise MissingModality("churn training needs a 0/1 outcome for every row")
     if len(np.unique(y)) < 2:
         raise SingleClass("both classes must be present")
 

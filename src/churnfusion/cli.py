@@ -99,11 +99,11 @@ def cmd_train(args) -> int:
     split = pipeline.Split(cohort, cfg, pipeline.train_model)
     model = split.model(args.modality)
     if args.modality == "fl":
-        labeled = [r for r in split.train.rows if r.fl_label is not None]
-        if labeled:
-            pred = flm.predict_fl_batch(model, np.array([r.features for r in labeled]))
-            rmse = float(np.sqrt(np.mean((pred - np.array([r.fl_label for r in labeled])) ** 2)))
-            print(f"train_rmse={rmse!r}")
+        # coreg_train refuses an empty labelled set, so `known` selects at least one row
+        known = ~np.isnan(split.train.fl_label)
+        pred = flm.predict_fl_batch(model, split.train.features[known])
+        rmse = float(np.sqrt(np.mean((pred - split.train.fl_label[known]) ** 2)))
+        print(f"train_rmse={rmse!r}")
         print(f"pseudo_labels={len(model.transcript)}")
     else:
         print(f"final_loss={model.final_loss!r}")

@@ -4,13 +4,18 @@ A customer table is comma-separated UTF-8 text with a header row:
 ``id,<feature columns...>,fl_label,churn_outcome,audio_ref``.
 Feature cells must be numeric ('.' decimal separator); the three trailing
 columns may be empty. Missing feature values are rejected, not imputed.
+In memory the table is columnar. An empty trailing cell reads as NaN in
+`fl_label` (unlabelled), -1 in `churn_outcome` (unknown) or None in
+`audio_ref` (no clip); a `nan` literacy or `-1` churn cell is rejected.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import math
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,29 +34,6 @@ def map_emotion_to_binary(label: str) -> int:
     if label in NEGATIVE_LABELS:
         return 1
     raise UnknownLabel(f"unsupported emotion label: {label!r}")
-
-
-@dataclass(frozen=True)
-class CustomerRecord:
-    """One customer row: tabular features plus optional labels and audio."""
-
-    id: str
-    features: tuple[float, ...]
-    fl_label: float | None = None
-    audio_ref: str | None = None
-    churn_outcome: int | None = None
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValueError("id must be non-empty")
-        feats = tuple(float(v) for v in self.features)
-        if not all(np.isfinite(feats)):
-            raise ValueError(f"non-finite feature in record {self.id!r}")
-        object.__setattr__(self, "features", feats)
-        if self.fl_label is not None and not 0.0 <= self.fl_label <= 1.0:
-            raise ValueError(f"fl_label outside [0, 1] in record {self.id!r}")
-        if self.churn_outcome is not None and self.churn_outcome not in (0, 1):
-            raise ValueError(f"churn_outcome not in {{0, 1}} in record {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -78,45 +60,77 @@ class TableSchema:
         return cls(tuple(f"f{i}" for i in range(n_features)))
 
 
-@dataclass(frozen=True)
+def _column(values, dtype, shape: tuple[int, ...], name: str) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    if out.shape != shape:
+        raise SchemaMismatch(f"{name} has shape {out.shape}, schema and ids give {shape}")
+    out.flags.writeable = False
+    return out
+
+
+def _require(ok, ids: tuple[str, ...], problem: str) -> None:
+    if not np.all(ok):
+        raise ValueError(f"{problem} in record {ids[int(np.argmin(ok))]!r}")
+
+
+@dataclass(frozen=True, eq=False)
 class CustomerTable:
-    """Schema plus validated rows with unique ids, order preserved."""
+    """Schema plus read-only columns, one entry per customer; ids unique, order kept."""
 
     schema: TableSchema
-    rows: tuple[CustomerRecord, ...] = field(default_factory=tuple)
+    ids: tuple[str, ...]
+    features: np.ndarray
+    fl_label: np.ndarray
+    churn_outcome: np.ndarray
+    audio_ref: tuple[str | None, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        seen = set()
-        for row in self.rows:
-            if row.id in seen:
-                raise DuplicateId(f"duplicate id {row.id!r}")
-            seen.add(row.id)
-            if len(row.features) != self.schema.width:
-                raise SchemaMismatch(
-                    f"record {row.id!r} has {len(row.features)} features, "
-                    f"schema declares {self.schema.width}"
-                )
+        ids = tuple(self.ids)
+        n = len(ids)
+        if not all(ids):
+            raise ValueError("id must be non-empty")
+        if len(set(ids)) != n:
+            duplicate = next(cid for cid, count in Counter(ids).items() if count > 1)
+            raise DuplicateId(f"duplicate id {duplicate!r}")
+        features = _column(self.features, np.float64, (n, self.schema.width), "features")
+        fl_label = _column(self.fl_label, np.float64, (n,), "fl_label")
+        churn_outcome = _column(self.churn_outcome, np.int64, (n,), "churn_outcome")
+        audio_ref = tuple(_column(self.audio_ref, object, (n,), "audio_ref"))
+        _require(np.isfinite(features).all(axis=1), ids, "non-finite feature")
+        _require(~((fl_label < 0.0) | (fl_label > 1.0)), ids, "fl_label outside [0, 1]")
+        # raw values: the int64 cast above would truncate a fraction
+        _require(np.isin(self.churn_outcome, (-1, 0, 1)), ids, "churn_outcome not in {-1, 0, 1}")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "fl_label", fl_label)
+        object.__setattr__(self, "churn_outcome", churn_outcome)
+        object.__setattr__(self, "audio_ref", audio_ref)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.ids)
 
-    def feature_matrix(self) -> np.ndarray:
-        return np.array([r.features for r in self.rows], dtype=np.float64).reshape(
-            len(self.rows), self.schema.width
+    def take(self, index) -> "CustomerTable":
+        """The rows at `index` (a boolean mask or integer positions), in that order."""
+        return CustomerTable(
+            self.schema,
+            tuple(np.array(self.ids, dtype=object)[index]),
+            self.features[index],
+            self.fl_label[index],
+            self.churn_outcome[index],
+            tuple(np.array(self.audio_ref, dtype=object)[index]),
         )
 
-    def ids(self) -> list[str]:
-        return [r.id for r in self.rows]
 
-
-def _parse_optional_float(cell: str, column: str, row_id: str) -> float | None:
+def _parse_optional_float(cell: str, column: str, row_id: str, missing: float) -> float:
     if cell == "":
-        return None
+        return missing
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
-        raise ValueError(f"non-numeric {column} {cell!r} in row {row_id!r}") from None
+        value = math.nan
+    if math.isnan(value):  # NaN marks a missing value in memory
+        raise ValueError(f"non-numeric {column} {cell!r} in row {row_id!r}")
+    return value
 
 
 def parse_customer_table(raw: bytes, schema: TableSchema) -> CustomerTable:
@@ -130,14 +144,13 @@ def parse_customer_table(raw: bytes, schema: TableSchema) -> CustomerTable:
     if header != schema.header:
         raise SchemaMismatch(f"header {header} does not match schema {schema.header}")
 
-    rows = []
+    ids, feats, fl_labels, churn_outcomes, audio_refs = [], [], [], [], []
     for cells in reader:
         if not cells:
             continue
         if len(cells) != len(schema.header):
             raise SchemaMismatch(f"row has {len(cells)} cells, expected {len(schema.header)}")
         row_id = cells[0]
-        feats = []
         for name, cell in zip(schema.feature_names, cells[1 : 1 + schema.width]):
             if cell == "":
                 raise ValueError(f"missing value in column {name!r}, row {row_id!r}")
@@ -148,43 +161,33 @@ def parse_customer_table(raw: bytes, schema: TableSchema) -> CustomerTable:
                     f"non-numeric cell {cell!r} in column {name!r}, row {row_id!r}"
                 ) from None
         fl_cell, churn_cell, audio_cell = cells[1 + schema.width :]
-        fl_label = _parse_optional_float(fl_cell, "fl_label", row_id)
-        churn_outcome = None
-        if churn_cell != "":
-            value = _parse_optional_float(churn_cell, "churn_outcome", row_id)
-            if value not in (0.0, 1.0):
-                raise ValueError(f"churn_outcome {churn_cell!r} not in {{0, 1}}, row {row_id!r}")
-            churn_outcome = int(value)
-        rows.append(
-            CustomerRecord(
-                id=row_id,
-                features=tuple(feats),
-                fl_label=fl_label,
-                audio_ref=audio_cell or None,
-                churn_outcome=churn_outcome,
-            )
-        )
-    return CustomerTable(schema=schema, rows=tuple(rows))
-
-
-def _fmt(value: float) -> str:
-    # repr gives the shortest round-trip decimal, keeping files byte-stable
-    return repr(float(value))
+        fl_labels.append(_parse_optional_float(fl_cell, "fl_label", row_id, math.nan))
+        churn_outcome = _parse_optional_float(churn_cell, "churn_outcome", row_id, -1.0)
+        if churn_cell != "" and churn_outcome not in (0.0, 1.0):
+            raise ValueError(f"churn_outcome {churn_cell!r} not in {{0, 1}}, row {row_id!r}")
+        ids.append(row_id)
+        churn_outcomes.append(int(churn_outcome))
+        audio_refs.append(audio_cell or None)
+    return CustomerTable(
+        schema,
+        tuple(ids),
+        np.array(feats, dtype=np.float64).reshape(len(ids), schema.width),
+        np.array(fl_labels, dtype=np.float64),
+        np.array(churn_outcomes, dtype=np.int64),
+        tuple(audio_refs),
+    )
 
 
 def serialize_customer_table(table: CustomerTable) -> bytes:
     """Inverse of parse_customer_table (round-trips exactly)."""
+    # repr gives the shortest round-trip decimal, keeping files byte-stable
+    fl_cells = ["" if math.isnan(v) else repr(v) for v in table.fl_label.tolist()]
+    churn_cells = ["" if v < 0 else str(v) for v in table.churn_outcome.tolist()]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(table.schema.header)
-    for row in table.rows:
-        writer.writerow(
-            [row.id]
-            + [_fmt(v) for v in row.features]
-            + [
-                "" if row.fl_label is None else _fmt(row.fl_label),
-                "" if row.churn_outcome is None else str(row.churn_outcome),
-                row.audio_ref or "",
-            ]
-        )
+    for cid, feats, fl_cell, churn_cell, ref in zip(
+        table.ids, table.features.tolist(), fl_cells, churn_cells, table.audio_ref
+    ):
+        writer.writerow([cid, *map(repr, feats), fl_cell, churn_cell, ref or ""])
     return out.getvalue().encode("utf-8")

@@ -108,7 +108,7 @@ def augment_features(X: np.ndarray, fl_scores: np.ndarray, emotion_binary: np.nd
 
 
 def _score(table, fl_model, churn, emotions, cfg, augmented: bool) -> Assignments:
-    X = table.feature_matrix()
+    X = table.features
     emotions = np.asarray(emotions)
     if emotions.shape != (len(table),):
         raise MissingModality("one emotion flag per row required")
@@ -116,7 +116,7 @@ def _score(table, fl_model, churn, emotions, cfg, augmented: bool) -> Assignment
     propensity = cm.predict_churn_batch(
         churn, augment_features(X, fl_score, emotions) if augmented else X
     )
-    return fuse(table.ids(), fl_score, propensity, emotions, cfg)
+    return fuse(table.ids, fl_score, propensity, emotions, cfg)
 
 
 def run_late_fusion(
@@ -139,12 +139,9 @@ def train_hybrid_churn(
     hyper: TrainConfig = TrainConfig(),
 ) -> cm.ChurnModel:
     """Stage-1 hybrid fusion: retrain the churn model on augmented inputs."""
-    X = table.feature_matrix()
-    y = np.array([row.churn_outcome for row in table.rows])
-    if any(v is None for v in y):
-        raise MissingModality("hybrid training needs churn outcomes for every row")
+    X = table.features
     X_aug = augment_features(X, fl.predict_fl_batch(fl_model, X), emotions)
-    return cm.train_churn(X_aug, y.astype(int), rfe_k, smote, hyper)
+    return cm.train_churn(X_aug, table.churn_outcome, rfe_k, smote, hyper)
 
 
 def run_hybrid_fusion(
@@ -171,14 +168,13 @@ def run_none_fusion(
     cut-points a propensity-only triple can express; the rank score maps
     propensity onto the same 0..4 scale as the fused D.
     """
-    propensity = cm.predict_churn_batch(churn, table.feature_matrix())
+    propensity = cm.predict_churn_batch(churn, table.features)
     low = propensity <= cfg.churn_threshold
     mid = propensity <= (1.0 + cfg.churn_threshold) / 2.0
     C = np.where(low, 0, cfg.weights[0])
     zeros = np.zeros_like(C)
     risk = np.where(low, "low", np.where(mid, "mid", "high"))
-    ids = tuple(table.ids())
-    return Assignments(ids, None, propensity, None, C, zeros, zeros, risk, 4.0 * propensity)
+    return Assignments(table.ids, None, propensity, None, C, zeros, zeros, risk, 4.0 * propensity)
 
 
 ASSIGNMENT_HEADER = (

@@ -93,16 +93,23 @@ def accuracy(predicted, truth) -> float:
 
 
 def roc_auc(scores, labels) -> float:
-    """P(random positive outranks random negative), ties at 1/2."""
+    """P(random positive outranks random negative), ties at 1/2.
+
+    Mann-Whitney U from average ranks; ranks are half-integers, so it is exact.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(int).ravel()
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if pos.size == 0 or neg.size == 0:
+    known = (labels == 0) | (labels == 1)
+    positive = labels[known] == 1
+    n_pos = int(positive.sum())
+    n_neg = positive.size - n_pos
+    if n_pos == 0 or n_neg == 0:
         raise SingleClass("both classes must be present")
-    greater = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return float((greater + 0.5 * ties) / (pos.size * neg.size))
+    # a tie group ending at 1-based rank r with c members shares rank r - (c - 1) / 2
+    _, group, counts = np.unique(scores[known], return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
+    rank_sum = ranks[positive].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
 def build_risk_queries(assignments: Assignments, truth: dict[str, str]) -> list[RiskQuery]:

@@ -57,11 +57,6 @@ class MLPParams:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    def copy(self) -> "MLPParams":
-        return MLPParams(
-            self.layer_dims, [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-        )
-
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)

@@ -29,6 +29,7 @@ from .errors import InvalidConfig, MissingModality
 from .mlp import TrainConfig
 
 STRATEGIES = ("none", "late", "hybrid")
+COMPARED = ("map", "macro_f1", "accuracy", "auc")  # MetricReport fields averaged over seeds
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,12 @@ def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
 _BOOL = {"true": True, "false": False, "1": True, "0": False}
 
 
-def _coerce(value: str, kind):
+def _coerce(key: str, value: str, kind):
     if kind is bool:
-        return _BOOL[value.strip().lower()]
+        try:
+            return _BOOL[value.strip().lower()]
+        except KeyError:
+            raise InvalidConfig(f"{key} must be one of {', '.join(_BOOL)}: {value!r}") from None
     if kind in (int, float, str):
         return kind(value)
     raise InvalidConfig(f"unsupported config value type {kind}")
@@ -106,9 +110,9 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             if name not in section_fields:
                 raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
             current = getattr(target, name)
-            nested_updates.setdefault(section, {})[name] = _coerce(value, type(current))
+            nested_updates.setdefault(section, {})[name] = _coerce(key, value, type(current))
         elif key in top_fields:
-            top_updates[key] = _coerce(value, type(getattr(cfg, key)))
+            top_updates[key] = _coerce(key, value, type(getattr(cfg, key)))
         else:
             raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
     for section, updates in nested_updates.items():
@@ -124,25 +128,19 @@ def load_config(path: str | Path | None, seed: int | None = None) -> RunConfig:
 
 
 def split_table(table: CustomerTable, test_fraction: float, seed: int):
-    """Deterministic shuffle split; returns (train_table, test_table)."""
-    n = len(table.rows)
+    """Deterministic shuffle split; returns (train_table, test_table) in table order."""
+    n = len(table)
     order = np.random.default_rng(seed + 6).permutation(n)
-    n_test = max(1, int(round(test_fraction * n)))
-    test_idx = set(int(i) for i in order[:n_test])
-    train_rows = tuple(r for i, r in enumerate(table.rows) if i not in test_idx)
-    test_rows = tuple(r for i, r in enumerate(table.rows) if i in test_idx)
-    return (
-        CustomerTable(schema=table.schema, rows=train_rows),
-        CustomerTable(schema=table.schema, rows=test_rows),
-    )
+    is_test = np.zeros(n, dtype=bool)
+    is_test[order[: max(1, int(round(test_fraction * n)))]] = True
+    return table.take(~is_test), table.take(is_test)
 
 
 def train_fl(train_table: CustomerTable, cfg: RunConfig) -> flm.FLModel:
-    labeled = [
-        (np.array(r.features), r.fl_label) for r in train_table.rows if r.fl_label is not None
-    ]
-    unlabeled = [np.array(r.features) for r in train_table.rows if r.fl_label is None]
-    return flm.coreg_train(labeled, unlabeled, cfg.smogn, cfg.coreg)
+    known = ~np.isnan(train_table.fl_label)
+    X = train_table.features
+    labeled = list(zip(X[known], train_table.fl_label[known]))
+    return flm.coreg_train(labeled, list(X[~known]), cfg.smogn, cfg.coreg)
 
 
 def train_ser(cfg: RunConfig) -> serm.EmotionModel:
@@ -154,20 +152,18 @@ def train_ser(cfg: RunConfig) -> serm.EmotionModel:
 
 
 def train_churn_baseline(train_table: CustomerTable, cfg: RunConfig) -> cm.ChurnModel:
-    X = train_table.feature_matrix()
-    y = np.array([r.churn_outcome for r in train_table.rows])
-    if any(v is None for v in y):
-        raise MissingModality("churn training needs outcomes for every row")
-    rfe_k = min(cfg.rfe_k, X.shape[1])
-    return cm.train_churn(X, y.astype(int), rfe_k, cfg.smote, cfg.churn_train)
+    rfe_k = min(cfg.rfe_k, train_table.schema.width)
+    return cm.train_churn(
+        train_table.features, train_table.churn_outcome, rfe_k, cfg.smote, cfg.churn_train
+    )
 
 
 def compute_emotions(table, clips, ser, cfg: RunConfig) -> np.ndarray:
     """Negative-emotion flag (0/1) per row, from the clip its audio_ref names."""
-    missing = [row.id for row in table.rows if row.audio_ref not in clips]
+    missing = [cid for cid, ref in zip(table.ids, table.audio_ref) if ref not in clips]
     if missing:
         raise MissingModality(f"{len(missing)} customers have no audio clip, first {missing[0]!r}")
-    maps = (build_feature_map(clips[row.audio_ref], cfg.features) for row in table.rows)
+    maps = (build_feature_map(clips[ref], cfg.features) for ref in table.audio_ref)
     return np.array([serm.predict_emotion(ser, m) for m in maps], dtype=int)
 
 
@@ -235,7 +231,7 @@ def assign(strategy: str, split: Split) -> fusion.Assignments:
 
 def evaluate(assignments: fusion.Assignments, cohort: synth.SyntheticCohort):
     """Metric report of one strategy's assignments against the cohort's truth."""
-    outcomes = {r.id: r.churn_outcome for r in cohort.table.rows}
+    outcomes = dict(zip(cohort.table.ids, cohort.table.churn_outcome.tolist()))
     return metrics.evaluate_assignments(assignments, cohort.ground_truth, outcomes)
 
 
@@ -256,38 +252,24 @@ def run_experiment(cfg: RunConfig, strategies=STRATEGIES) -> ExperimentResult:
 
 def compare_over_seeds(cfg: RunConfig, strategies=STRATEGIES):
     """Per-strategy mean and std of MAP / macro-F1 / accuracy / AUC over seeds."""
-    collected = {s: {"map": [], "macro_f1": [], "accuracy": [], "auc": []} for s in strategies}
-    for seed in cfg.seeds:
-        result = run_experiment(with_seed(cfg, seed), strategies)
-        for s in strategies:
-            rep = result.reports[s]
-            collected[s]["map"].append(rep.map)
-            collected[s]["macro_f1"].append(rep.macro_f1)
-            collected[s]["accuracy"].append(rep.accuracy)
-            if rep.auc is not None:
-                collected[s]["auc"].append(rep.auc)
+    reports = [run_experiment(with_seed(cfg, seed), strategies).reports for seed in cfg.seeds]
     rows = {}
     for s in strategies:
-        rows[s] = {
-            name: (float(np.mean(vals)), float(np.std(vals)) if len(vals) > 1 else 0.0)
-            for name, vals in collected[s].items()
-            if vals
-        }
+        rows[s] = {}
+        for name in COMPARED:
+            vals = [getattr(r[s], name) for r in reports if getattr(r[s], name) is not None]
+            if vals:
+                rows[s][name] = (float(np.mean(vals)), float(np.std(vals)))
     return rows
 
 
 def format_comparison(rows: dict) -> str:
     """Comparison table: one metric row, one column per fusion strategy."""
-    strategies = list(rows)
-    header = "metric," + ",".join(strategies)
-    lines = [header]
-    for metric_name in ("map", "macro_f1", "accuracy", "auc"):
-        cells = []
-        for s in strategies:
-            if metric_name in rows[s]:
-                mean, std = rows[s][metric_name]
-                cells.append(f"{100 * mean:.1f} +/- {100 * std:.1f}")
-            else:
-                cells.append("")
-        lines.append(f"{metric_name}," + ",".join(cells))
+    lines = ["metric," + ",".join(rows)]
+    for name in COMPARED:
+        cells = [
+            f"{100 * row[name][0]:.1f} +/- {100 * row[name][1]:.1f}" if name in row else ""
+            for row in rows.values()
+        ]
+        lines.append(f"{name}," + ",".join(cells))
     return "\n".join(lines) + "\n"

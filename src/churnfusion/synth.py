@@ -21,14 +21,13 @@ from .data_model import (
     NEGATIVE_LABELS,
     POSITIVE_LABELS,
     RISK_LABELS,
-    CustomerRecord,
     CustomerTable,
     TableSchema,
     map_emotion_to_binary,
     serialize_customer_table,
     parse_customer_table,
 )
-from .errors import InvalidConfig, InvalidDuration
+from .errors import InvalidConfig, InvalidDuration, SchemaMismatch
 
 SAMPLE_RATE = 16000
 
@@ -67,9 +66,9 @@ class SyntheticCohort:
     true_fl: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for row in self.table.rows:
-            if row.audio_ref is not None and row.audio_ref not in self.audio_clips:
-                raise ValueError(f"unresolved audio_ref {row.audio_ref!r}")
+        for ref in self.table.audio_ref:
+            if ref is not None and ref not in self.audio_clips:
+                raise ValueError(f"unresolved audio_ref {ref!r}")
 
 
 def synth_audio(emotion: str, duration_s: float, seed) -> AudioClip:
@@ -166,29 +165,22 @@ def generate_cohort(config: SynthConfig) -> SyntheticCohort:
     risk_label[order[cuts[0] : cuts[1]]] = RISK_LABELS[1]
     risk_label[order[cuts[1] :]] = RISK_LABELS[2]
 
-    rows, clips, truth, fl_map = [], {}, {}, {}
-    for i in range(n):
-        cid = f"c{i:05d}"
+    ids = tuple(f"c{i:05d}" for i in range(n))
+    refs = tuple(f"{cid}.wav" for cid in ids)
+    clips = {}
+    for i, ref in enumerate(refs):
         clip_rng = np.random.default_rng([config.seed, i])
         if negative[i]:
             label = NEGATIVE_LABELS[int(clip_rng.integers(len(NEGATIVE_LABELS)))]
         else:
             label = POSITIVE_LABELS[int(clip_rng.integers(len(POSITIVE_LABELS)))]
-        ref = f"{cid}.wav"
         clips[ref] = synth_audio(label, config.clip_duration_s, [config.seed, i, 1])
-        rows.append(
-            CustomerRecord(
-                id=cid,
-                features=tuple(X[i]),
-                fl_label=float(true_fl[i]) if labeled[i] else None,
-                audio_ref=ref,
-                churn_outcome=int(churn[i]),
-            )
-        )
-        truth[cid] = str(risk_label[i])
-        fl_map[cid] = float(true_fl[i])
 
-    table = CustomerTable(schema=TableSchema.with_width(nf), rows=tuple(rows))
+    table = CustomerTable(
+        TableSchema.with_width(nf), ids, X, np.where(labeled, true_fl, np.nan), churn, refs
+    )
+    truth = dict(zip(ids, risk_label.tolist()))
+    fl_map = dict(zip(ids, true_fl.tolist()))
     return SyntheticCohort(table=table, audio_clips=clips, ground_truth=truth, true_fl=fl_map)
 
 
@@ -238,29 +230,23 @@ def write_cohort(cohort: SyntheticCohort, out_dir: str | Path) -> None:
     (out / "audio").mkdir(parents=True, exist_ok=True)
     (out / "table.csv").write_bytes(serialize_customer_table(cohort.table))
     manifest = ["id,audio_path"]
-    for row in cohort.table.rows:
-        if row.audio_ref is not None:
-            (out / "audio" / row.audio_ref).write_bytes(
-                clip_to_wav_bytes(cohort.audio_clips[row.audio_ref])
-            )
-            manifest.append(f"{row.id},audio/{row.audio_ref}")
+    for cid, ref in zip(cohort.table.ids, cohort.table.audio_ref):
+        if ref is not None:
+            (out / "audio" / ref).write_bytes(clip_to_wav_bytes(cohort.audio_clips[ref]))
+            manifest.append(f"{cid},audio/{ref}")
     (out / "manifest.csv").write_text("\n".join(manifest) + "\n", encoding="utf-8")
     truth_lines = ["id,risk_tier,true_fl"]
-    for row in cohort.table.rows:
-        truth_lines.append(
-            f"{row.id},{cohort.ground_truth[row.id]},{cohort.true_fl.get(row.id, '')!s}"
-        )
+    for cid in cohort.table.ids:
+        truth_lines.append(f"{cid},{cohort.ground_truth[cid]},{cohort.true_fl.get(cid, '')!s}")
     (out / "ground_truth.csv").write_text("\n".join(truth_lines) + "\n", encoding="utf-8")
 
 
-def read_cohort(in_dir: str | Path, n_features: int | None = None) -> SyntheticCohort:
+def read_cohort(in_dir: str | Path) -> SyntheticCohort:
     """Load a cohort previously written by write_cohort."""
     src = Path(in_dir)
     raw = (src / "table.csv").read_bytes()
-    if n_features is None:
-        header = raw.split(b"\n", 1)[0].decode("utf-8").split(",")
-        n_features = len(header) - 4
-    table = parse_customer_table(raw, TableSchema.with_width(n_features))
+    header = raw.split(b"\n", 1)[0].decode("utf-8").split(",")
+    table = parse_customer_table(raw, TableSchema.with_width(len(header) - 4))
     clips = {}
     for line in (src / "manifest.csv").read_text(encoding="utf-8").splitlines()[1:]:
         cid, path = line.split(",", 1)
@@ -271,4 +257,7 @@ def read_cohort(in_dir: str | Path, n_features: int | None = None) -> SyntheticC
         truth[cid] = tier
         if fl:
             fl_map[cid] = float(fl)
+    missing = [cid for cid in table.ids if cid not in truth]
+    if missing:
+        raise SchemaMismatch(f"ground_truth.csv has no row for id {missing[0]!r}")
     return SyntheticCohort(table=table, audio_clips=clips, ground_truth=truth, true_fl=fl_map)

@@ -300,15 +300,15 @@ def test_criterion_09_coreg_sanity():
         cohort = generate_cohort(
             SynthConfig(n_customers=400, coupling=0.9, labeled_fl_fraction=0.2, seed=seed)
         )
-        rows = cohort.table.rows
-        train, test = rows[:300], rows[300:]
-        lab = [(np.array(r.features), r.fl_label) for r in train if r.fl_label is not None]
-        unlab = [np.array(r.features) for r in train if r.fl_label is None]
+        train, test = cohort.table.take(slice(0, 300)), cohort.table.take(slice(300, None))
+        known = ~np.isnan(train.fl_label)
+        lab = list(zip(train.features[known], train.fl_label[known]))
+        unlab = list(train.features[~known])
         c = flm.CoregConfig(max_iterations=30, seed=seed)
         m = flm.coreg_train(lab, unlab, flm.SmognConfig(seed=seed), c)
         b = flm.coreg_train(lab, [], flm.SmognConfig(seed=seed), c)
-        Xt = np.array([r.features for r in test])
-        yt = np.array([cohort.true_fl[r.id] for r in test])
+        Xt = test.features
+        yt = np.array([cohort.true_fl[cid] for cid in test.ids])
         rmse_coreg.append(float(np.sqrt(np.mean((flm.predict_fl_batch(m, Xt) - yt) ** 2))))
         rmse_base.append(float(np.sqrt(np.mean((flm.predict_fl_batch(b, Xt) - yt) ** 2))))
     mean_c, mean_b = float(np.mean(rmse_coreg)), float(np.mean(rmse_base))

@@ -3,7 +3,7 @@ import pytest
 
 from churnfusion import churn_model as cm
 from churnfusion import mlp
-from churnfusion.errors import BadK, DimensionMismatch, SingleClass, TooFewMinority
+from churnfusion.errors import BadK, DimensionMismatch, MissingModality, SingleClass, TooFewMinority
 
 
 def single_feature_accuracy(X, y, j):
@@ -147,6 +147,15 @@ class TestTrainChurn:
         X = np.random.default_rng(0).normal(size=(20, 3))
         with pytest.raises(SingleClass):
             cm.train_churn(X, np.zeros(20, dtype=int), rfe_k=2)
+
+    def test_unknown_or_non_binary_outcome_rejected(self):
+        # -1 marks an unknown outcome in a customer table
+        X, y = separable_data()
+        for bad in (-1, 2):
+            labels = y.copy()
+            labels[3] = bad
+            with pytest.raises(MissingModality):
+                cm.train_churn(X, labels, rfe_k=2)
 
     def test_records_loss_and_accuracy(self):
         X, y = separable_data(2)

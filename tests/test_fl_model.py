@@ -120,17 +120,15 @@ class TestCoreg:
             cohort = generate_cohort(
                 SynthConfig(n_customers=400, coupling=0.9, labeled_fl_fraction=0.2, seed=seed)
             )
-            rows = cohort.table.rows
-            train, test = rows[:300], rows[300:]
-            labeled = [
-                (np.array(r.features), r.fl_label) for r in train if r.fl_label is not None
-            ]
-            unlabeled = [np.array(r.features) for r in train if r.fl_label is None]
+            train, test = cohort.table.take(slice(0, 300)), cohort.table.take(slice(300, None))
+            known = ~np.isnan(train.fl_label)
+            labeled = list(zip(train.features[known], train.fl_label[known]))
+            unlabeled = list(train.features[~known])
             cfg = flm.CoregConfig(max_iterations=30, seed=seed)
             model = flm.coreg_train(labeled, unlabeled, flm.SmognConfig(seed=seed), cfg)
             baseline = flm.coreg_train(labeled, [], flm.SmognConfig(seed=seed), cfg)
-            Xt = np.array([r.features for r in test])
-            yt = np.array([cohort.true_fl[r.id] for r in test])
+            Xt = test.features
+            yt = np.array([cohort.true_fl[cid] for cid in test.ids])
             rmse_coreg.append(np.sqrt(np.mean((flm.predict_fl_batch(model, Xt) - yt) ** 2)))
             rmse_baseline.append(
                 np.sqrt(np.mean((flm.predict_fl_batch(baseline, Xt) - yt) ** 2))

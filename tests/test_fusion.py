@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ from churnfusion import fl_model as flm
 from churnfusion import fusion, pipeline
 from churnfusion import ser_model
 from churnfusion.audio_features import FeatureParams, build_feature_map
-from churnfusion.data_model import CustomerTable, RISK_LABELS
+from churnfusion.data_model import RISK_LABELS
 from churnfusion.errors import InvalidTriple, MissingModality
 from churnfusion.mlp import TrainConfig
 from churnfusion.synth import SynthConfig, generate_cohort, generate_ser_corpus
@@ -118,16 +119,16 @@ class TestDecisionFuse:
 @pytest.fixture(scope="module")
 def small_world():
     cohort = generate_cohort(SynthConfig(n_customers=80, coupling=0.9, seed=11))
-    rows = cohort.table.rows
-    labeled = [(np.array(r.features), r.fl_label) for r in rows if r.fl_label is not None]
+    table = cohort.table
+    known = ~np.isnan(table.fl_label)
+    labeled = list(zip(table.features[known], table.fl_label[known]))
     fl_model = flm.coreg_train(labeled, [], smogn=None, cfg=flm.CoregConfig())
     clips, labels = generate_ser_corpus(8, 1.0, seed=12)
     params = FeatureParams()
     maps = [build_feature_map(c, params) for c in clips]
     emo_model = ser_model.train_emotion(maps, labels, TrainConfig(epochs=60, seed=0))
-    y = np.array([r.churn_outcome for r in rows])
     churn = cm.train_churn(
-        cohort.table.feature_matrix(), y, rfe_k=6, hyper=TrainConfig(epochs=60, seed=1)
+        table.features, table.churn_outcome, rfe_k=6, hyper=TrainConfig(epochs=60, seed=1)
     )
     cfg = pipeline.RunConfig(features=params)
     emotions = pipeline.compute_emotions(cohort.table, cohort.audio_clips, emo_model, cfg)
@@ -137,9 +138,9 @@ def small_world():
 class TestRunLateFusion:
     def test_composition_single_customer(self, small_world):
         cohort, fl_model, _, churn, emotions, _ = small_world
-        one = CustomerTable(cohort.table.schema, cohort.table.rows[:1])
+        one = cohort.table.take([0])
         out = fusion.run_late_fusion(one, fl_model, churn, emotions[:1])
-        assert out.ids == (one.rows[0].id,)
+        assert out.ids == (cohort.table.ids[0],)
         assert len(out.risk) == 1
         expected = fusion.fuse(out.ids, out.fl_score, out.propensity, out.emotion)
         assert_same_columns(out, expected)
@@ -148,7 +149,7 @@ class TestRunLateFusion:
     def test_permutation_equivariance(self, small_world):
         cohort, fl_model, emo_model, churn, emotions, cfg = small_world
         fwd = fusion.run_late_fusion(cohort.table, fl_model, churn, emotions)
-        flipped = CustomerTable(cohort.table.schema, cohort.table.rows[::-1])
+        flipped = cohort.table.take(slice(None, None, -1))
         flipped_emotions = pipeline.compute_emotions(flipped, cohort.audio_clips, emo_model, cfg)
         rev = fusion.run_late_fusion(flipped, fl_model, churn, flipped_emotions)
         assert_same_columns(rev, reversed_rows(fwd))
@@ -163,11 +164,7 @@ class TestRunLateFusion:
         cohort, fl_model, emo_model, churn, emotions, cfg = small_world
         with pytest.raises(MissingModality):
             pipeline.compute_emotions(cohort.table, {}, emo_model, cfg)
-        first = cohort.table.rows[0]
-        no_ref = CustomerTable(
-            cohort.table.schema,
-            (type(first)(id=first.id, features=first.features, audio_ref=None),),
-        )
+        no_ref = dataclasses.replace(cohort.table.take([0]), audio_ref=(None,))
         with pytest.raises(MissingModality):
             pipeline.compute_emotions(no_ref, cohort.audio_clips, emo_model, cfg)
         with pytest.raises(MissingModality):
@@ -217,8 +214,8 @@ class TestRunHybridFusion:
         # degenerate check: constant FL/emotion columns add no signal, so a
         # churn model trained on them ranks customers like the plain model
         cohort = small_world[0]
-        X = cohort.table.feature_matrix()
-        y = np.array([r.churn_outcome for r in cohort.table.rows])
+        X = cohort.table.features
+        y = cohort.table.churn_outcome
         cfg = TrainConfig(epochs=60, seed=5)
         plain = cm.train_churn(X, y, rfe_k=6, hyper=cfg)
         X_aug = fusion.augment_features(X, np.full(len(X), 0.5), np.zeros(len(X)))
@@ -234,7 +231,7 @@ class TestRunNoneFusion:
     def test_banding(self, small_world):
         cohort, _, _, churn, _, _ = small_world
         out = fusion.run_none_fusion(cohort.table, churn)
-        props = cm.predict_churn_batch(churn, cohort.table.feature_matrix())
+        props = cm.predict_churn_batch(churn, cohort.table.features)
         for risk, c, rank, p in zip(out.risk, out.C, out.rank_score, props):
             if p <= 0.5:
                 assert risk == "low" and c == 0

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from churnfusion import metrics
 from churnfusion.errors import (
@@ -129,6 +130,15 @@ class TestMacroF1:
             metrics.accuracy([], [])
 
 
+def pairwise_auc(scores, labels):
+    """Reference: count every positive/negative pair, ties at 1/2."""
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    greater = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    return float((greater + 0.5 * ties) / (pos.size * neg.size))
+
+
 class TestRocAuc:
     def test_perfect_separation(self):
         assert metrics.roc_auc([0.0, 0.0, 1.0, 1.0], [0, 0, 1, 1]) == 1.0
@@ -165,6 +175,18 @@ class TestRocAuc:
                 [1.0 if p > q else (0.5 if p == q else 0.0) for p in pos for q in neg]
             )
             assert abs(metrics.roc_auc(scores, labels) - expected) < 1e-12
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(0, 1)), min_size=2, max_size=60
+        ).filter(lambda pairs: len({label for _, label in pairs}) == 2),
+        st.sampled_from([0.1, 0.25, 1.0 / 3.0]),
+    )
+    def test_rank_form_equals_pairwise_count_exactly(self, pairs, step):
+        # a small integer grid scaled by `step` forces many ties
+        scores = np.array([k * step for k, _ in pairs])
+        labels = np.array([label for _, label in pairs])
+        assert metrics.roc_auc(scores, labels) == pairwise_auc(scores, labels)
 
 
 def make_assignments(rows):

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from churnfusion import cli, pipeline
-from churnfusion.errors import InvalidConfig
+from churnfusion.errors import InvalidConfig, MissingModality
 from churnfusion.synth import SynthConfig, generate_cohort
 
 SMALL_CONFIG = """
@@ -68,16 +69,39 @@ class TestSplitTable:
         cohort = generate_cohort(SynthConfig(n_customers=30, seed=0))
         a_train, a_test = pipeline.split_table(cohort.table, 0.3, seed=5)
         b_train, b_test = pipeline.split_table(cohort.table, 0.3, seed=5)
-        assert a_train.ids() == b_train.ids()
-        assert a_test.ids() == b_test.ids()
+        assert a_train.ids == b_train.ids
+        assert a_test.ids == b_test.ids
         assert len(a_test) == round(0.3 * 30)
-        assert sorted(a_train.ids() + a_test.ids()) == sorted(cohort.table.ids())
+        assert sorted(a_train.ids + a_test.ids) == sorted(cohort.table.ids)
+
+    @pytest.mark.parametrize("n,fraction", [(30, 0.3), (47, 0.25), (2, 0.5), (200, 0.7)])
+    def test_sides_partition_ids_in_table_order(self, n, fraction):
+        table = generate_cohort(SynthConfig(n_customers=n, seed=4)).table
+        train, test = pipeline.split_table(table, fraction, seed=9)
+        position = {cid: i for i, cid in enumerate(table.ids)}
+        assert set(train.ids).isdisjoint(test.ids)
+        assert set(train.ids) | set(test.ids) == set(table.ids)
+        assert len(test) == max(1, round(fraction * n))
+        for side in (train, test):
+            rows = [position[cid] for cid in side.ids]
+            assert rows == sorted(rows)
+            assert np.array_equal(side.features, table.features[rows])
+            assert np.array_equal(side.churn_outcome, table.churn_outcome[rows])
+            assert np.array_equal(side.fl_label, table.fl_label[rows], equal_nan=True)
+            assert side.audio_ref == tuple(table.audio_ref[i] for i in rows)
+
+    def test_unknown_churn_outcome_blocks_churn_training(self, small_cfg):
+        table = generate_cohort(SynthConfig(n_customers=40, seed=0)).table
+        churn = table.churn_outcome.copy()
+        churn[5] = -1
+        with pytest.raises(MissingModality):
+            pipeline.train_churn_baseline(dataclasses.replace(table, churn_outcome=churn), small_cfg)
 
     def test_different_seed_differs(self):
         cohort = generate_cohort(SynthConfig(n_customers=30, seed=0))
         _, a = pipeline.split_table(cohort.table, 0.3, seed=1)
         _, b = pipeline.split_table(cohort.table, 0.3, seed=2)
-        assert a.ids() != b.ids()
+        assert a.ids != b.ids
 
     def test_at_least_one_test_row(self):
         cohort = generate_cohort(SynthConfig(n_customers=3, seed=0))
@@ -103,7 +127,7 @@ class TestRunExperiment:
         cohort = generate_cohort(small_cfg.synth)
         _, test_tbl = pipeline.split_table(cohort.table, small_cfg.test_fraction, small_cfg.seed)
         for strategy in ("none", "late"):
-            assert list(result.assignments[strategy].ids) == test_tbl.ids()
+            assert result.assignments[strategy].ids == test_tbl.ids
 
     def test_compare_over_seeds_shapes(self, small_cfg):
         rows = pipeline.compare_over_seeds(small_cfg, strategies=("none",))
@@ -222,3 +246,11 @@ class TestCli:
         config.write_text("nonsense = 1", encoding="utf-8")
         assert cli.main(["gen", "--out", str(tmp_path / "ws"), "--config", str(config)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_bad_boolean_in_config_fails(self, tmp_path, capsys):
+        config = tmp_path / "bad.txt"
+        config.write_text("features.standardize = yes", encoding="utf-8")
+        assert cli.main(["gen", "--out", str(tmp_path / "ws"), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "features.standardize" in err and "true" in err

@@ -3,7 +3,7 @@ import pytest
 
 from churnfusion.audio_features import hpss_median, stft_magnitude
 from churnfusion.data_model import NEGATIVE_LABELS, serialize_customer_table
-from churnfusion.errors import InvalidConfig, InvalidDuration
+from churnfusion.errors import InvalidConfig, InvalidDuration, SchemaMismatch
 from churnfusion.synth import (
     SynthConfig,
     clip_to_wav_bytes,
@@ -25,8 +25,8 @@ def hpss_shares(clip):
 
 
 def churn_fl_correlation(cohort):
-    churn = np.array([r.churn_outcome for r in cohort.table.rows], dtype=float)
-    fl = np.array([cohort.true_fl[r.id] for r in cohort.table.rows])
+    churn = cohort.table.churn_outcome.astype(float)
+    fl = np.array([cohort.true_fl[cid] for cid in cohort.table.ids])
     return float(np.corrcoef(fl, churn)[0, 1])
 
 
@@ -67,26 +67,26 @@ class TestGenerateCohort:
     def test_high_coupling_correlation_signs(self):
         cohort = generate_cohort(SynthConfig(n_customers=2000, coupling=0.9, seed=1))
         assert churn_fl_correlation(cohort) < 0
-        churn = np.array([r.churn_outcome for r in cohort.table.rows], dtype=float)
+        churn = cohort.table.churn_outcome.astype(float)
         negative = np.array(
-            [1.0 if _is_negative(cohort, r) else 0.0 for r in cohort.table.rows]
+            [1.0 if _is_negative(cohort, ref) else 0.0 for ref in cohort.table.audio_ref]
         )
         assert float(np.corrcoef(negative, churn)[0, 1]) > 0
 
     def test_churn_rate_near_base_rate(self):
         cfg = SynthConfig(n_customers=2000, churn_base_rate=0.25, coupling=0.9, seed=3)
         cohort = generate_cohort(cfg)
-        rate = np.mean([r.churn_outcome for r in cohort.table.rows])
+        rate = np.mean(cohort.table.churn_outcome)
         bound = 3 * np.sqrt(0.25 * 0.75 / 2000)
         assert abs(rate - 0.25) <= bound
 
     def test_labeled_fraction_and_audio_resolution(self):
         cfg = SynthConfig(n_customers=400, labeled_fl_fraction=0.3, seed=5)
         cohort = generate_cohort(cfg)
-        labeled = sum(1 for r in cohort.table.rows if r.fl_label is not None)
+        labeled = int(np.sum(~np.isnan(cohort.table.fl_label)))
         assert 0.2 < labeled / 400 < 0.4
-        for r in cohort.table.rows:
-            assert r.audio_ref in cohort.audio_clips
+        for ref in cohort.table.audio_ref:
+            assert ref in cohort.audio_clips
 
     def test_monotone_coupling_strengthens_correlation(self):
         def mean_abs_corr(coupling):
@@ -113,9 +113,9 @@ class TestGenerateCohort:
             SynthConfig(labeled_fl_fraction=0.0)
 
 
-def _is_negative(cohort, row):
+def _is_negative(cohort, ref):
     # click trains are mostly silence between bursts; tone stacks are not
-    samples = cohort.audio_clips[row.audio_ref].samples
+    samples = cohort.audio_clips[ref].samples
     return float(np.median(np.abs(samples))) < 0.05
 
 
@@ -144,7 +144,15 @@ class TestCohortIO:
         write_cohort(cohort, tmp_path)
         again = read_cohort(tmp_path)
         assert again.table.schema == cohort.table.schema
-        assert again.table.ids() == cohort.table.ids()
+        assert again.table.ids == cohort.table.ids
         assert again.ground_truth == cohort.ground_truth
         assert set(again.audio_clips) == set(cohort.audio_clips)
         assert again.true_fl == pytest.approx(cohort.true_fl)
+
+    def test_ground_truth_must_cover_every_id(self, tmp_path):
+        write_cohort(generate_cohort(SynthConfig(n_customers=30, seed=2)), tmp_path)
+        lines = (tmp_path / "ground_truth.csv").read_text(encoding="utf-8").splitlines()
+        del lines[2:21]
+        (tmp_path / "ground_truth.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaMismatch, match="c00001"):
+            read_cohort(tmp_path)
