@@ -151,10 +151,6 @@ def train_churn(
     )
 
 
-def predict_churn(model: ChurnModel, features: np.ndarray) -> float:
-    return float(predict_churn_batch(model, np.atleast_2d(features))[0])
-
-
 def predict_churn_batch(model: ChurnModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     needed = max(model.selected_features) + 1

@@ -119,7 +119,7 @@ def cmd_evaluate(args) -> int:
     cohort = _read_cohort(data_dir)
     split = pipeline.Split(cohort, cfg, functools.partial(_stored_model, model_dir))
     assignments = pipeline.assign(args.strategy, split)
-    text = metrics.serialize_report(pipeline.evaluate(assignments, cohort))
+    text = metrics.serialize_report(pipeline.evaluate(assignments, split))
     report_dir.mkdir(parents=True, exist_ok=True)
     (report_dir / f"assignments_{args.strategy}.csv").write_bytes(
         fusion.serialize_assignments(assignments)

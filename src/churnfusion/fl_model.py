@@ -219,22 +219,17 @@ def coreg_train(
             pseudo = own_model.predict(cand_X)
             dists = _minkowski(cand_X, peer["X"], peer["p"])
 
-            gains = np.empty(len(candidates))
-            for c in range(len(candidates)):
-                near = np.argsort(dists[c], kind="stable")[:k_eff]
-                delta = 0.0
-                for n_idx in near:
-                    # the new point replaces the farthest of the k current
-                    # neighbors when strictly closer; ties keep the incumbent
-                    if dists[c][n_idx] < nb_dist[n_idx, -1]:
-                        new_pred = loo_pred[n_idx] + (pseudo[c] - nb_targ[n_idx, -1]) / k_eff
-                        delta += loo_err[n_idx] - (peer["y"][n_idx] - new_pred) ** 2
-                gains[c] = delta
+            # each candidate touches the k peer points nearest to it
+            near = np.argsort(dists, axis=1, kind="stable")[:, :k_eff]
+            # the new point replaces the farthest of the k current neighbors
+            # when strictly closer; ties keep the incumbent
+            closer = np.take_along_axis(dists, near, axis=1) < nb_dist[near, -1]
+            new_pred = loo_pred[near] + (pseudo[:, None] - nb_targ[near, -1]) / k_eff
+            delta = loo_err[near] - (peer["y"][near] - new_pred) ** 2
+            gains = np.where(closer, delta, 0.0).sum(axis=1)
 
-            order = np.argsort(-gains, kind="stable")
-            taken = 0
-            for c in order:
-                if gains[c] <= 0.0 or taken >= cfg.batch_per_iter:
+            for c in np.argsort(-gains, kind="stable")[: cfg.batch_per_iter]:
+                if gains[c] <= 0.0:
                     break
                 u = candidates[int(c)]
                 peer["X"] = np.vstack([peer["X"], pool[u][None, :]])
@@ -243,7 +238,6 @@ def coreg_train(
                 transcript.append(
                     (iteration, selector, u, float(pseudo[int(c)]), float(gains[c]))
                 )
-                taken += 1
                 accepted_any = True
         if not accepted_any:
             break
@@ -255,14 +249,8 @@ def coreg_train(
     )
 
 
-def predict_fl(model: FLModel, features: np.ndarray) -> float:
-    """Mean of the two learners, clipped to [0, 1]."""
-    features = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    value = 0.5 * (model.learner1.predict(features)[0] + model.learner2.predict(features)[0])
-    return float(np.clip(value, 0.0, 1.0))
-
-
 def predict_fl_batch(model: FLModel, X: np.ndarray) -> np.ndarray:
+    """Mean of the two learners per row, clipped to [0, 1]."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     return np.clip(0.5 * (model.learner1.predict(X) + model.learner2.predict(X)), 0.0, 1.0)
 

@@ -1,13 +1,15 @@
 """Ranking and classification metrics for the risk-level output.
 
 Mean average precision treats each risk level as a retrieval query over
-the whole cohort; macro F1 weighs the three classes equally; AUC is the
-rank statistic over churn propensities.
+the scored rows; macro F1 weighs the three classes equally; AUC is the
+rank statistic over churn propensities. Every function takes arrays with
+one entry per scored row, in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -22,13 +24,6 @@ from .errors import (
 from .fusion import Assignments
 
 MID_RANK_CENTER = 2.0  # D value of the mid-risk triples
-
-
-@dataclass(frozen=True)
-class RiskQuery:
-    level: str
-    ranked_ids: tuple[str, ...]
-    relevant_ids: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -54,17 +49,31 @@ def average_precision(ranked_relevance, m: int) -> float:
     return float(np.sum(precision_at_k * rel) / m)
 
 
-def mean_average_precision(queries: list[RiskQuery]) -> float:
-    """Unweighted mean AP over the risk-level queries."""
-    if not queries:
-        raise EmptyQuerySet("at least one query required")
+def mean_average_precision(rank_score, truth) -> float:
+    """Unweighted mean AP of one retrieval query per risk level in `truth`.
+
+    Each query ranks every row by affinity to its level: descending rank
+    score for high, ascending for low, and closeness to the mid-band center
+    for mid; ties keep row order. Levels absent from `truth` are skipped.
+    """
+    ranks, truth = _aligned(np.asarray(rank_score, dtype=np.float64), truth)
+    sort_keys = {"low": ranks, "mid": np.abs(ranks - MID_RANK_CENTER), "high": -ranks}
     aps = []
-    for q in queries:
-        if not q.relevant_ids:
-            raise NoRelevant(f"query {q.level!r} has no relevant ids")
-        rel = [1 if cid in q.relevant_ids else 0 for cid in q.ranked_ids]
-        aps.append(average_precision(rel, len(q.relevant_ids)))
+    for level in RISK_LABELS:
+        relevant = truth == level
+        if relevant.any():
+            order = np.argsort(sort_keys[level], kind="stable")
+            aps.append(average_precision(relevant[order], int(relevant.sum())))
+    if not aps:
+        raise EmptyQuerySet("truth holds no risk level")
     return float(np.mean(aps))
+
+
+def _aligned(predicted, truth) -> tuple[np.ndarray, np.ndarray]:
+    predicted, truth = np.asarray(predicted), np.asarray(truth)
+    if predicted.shape != truth.shape or not truth.size:
+        raise LengthMismatch("predicted and truth must be equal-length and non-empty")
+    return predicted, truth
 
 
 def macro_f1(predicted, truth, classes=RISK_LABELS) -> float:
@@ -73,23 +82,18 @@ def macro_f1(predicted, truth, classes=RISK_LABELS) -> float:
 
 
 def per_class_f1(predicted, truth, classes=RISK_LABELS) -> dict[str, float]:
-    predicted, truth = list(predicted), list(truth)
-    if len(predicted) != len(truth) or not truth:
-        raise LengthMismatch("predicted and truth must be equal-length and non-empty")
+    predicted, truth = _aligned(predicted, truth)
     scores = {}
     for cls in classes:
-        tp = sum(1 for p, t in zip(predicted, truth) if p == cls and t == cls)
-        fp = sum(1 for p, t in zip(predicted, truth) if p == cls and t != cls)
-        fn = sum(1 for p, t in zip(predicted, truth) if p != cls and t == cls)
+        p, t = predicted == cls, truth == cls
+        tp, fp, fn = int(np.sum(p & t)), int(np.sum(p & ~t)), int(np.sum(~p & t))
         scores[cls] = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) > 0 else 0.0
     return scores
 
 
 def accuracy(predicted, truth) -> float:
-    predicted, truth = list(predicted), list(truth)
-    if len(predicted) != len(truth) or not truth:
-        raise LengthMismatch("predicted and truth must be equal-length and non-empty")
-    return sum(1 for p, t in zip(predicted, truth) if p == t) / len(truth)
+    predicted, truth = _aligned(predicted, truth)
+    return int(np.sum(predicted == truth)) / truth.size
 
 
 def roc_auc(scores, labels) -> float:
@@ -99,6 +103,8 @@ def roc_auc(scores, labels) -> float:
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(int).ravel()
+    if scores.shape != labels.shape:
+        raise LengthMismatch("scores and labels must be equal-length")
     known = (labels == 0) | (labels == 1)
     positive = labels[known] == 1
     n_pos = int(positive.sum())
@@ -110,32 +116,6 @@ def roc_auc(scores, labels) -> float:
     ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     rank_sum = ranks[positive].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
-
-
-def build_risk_queries(assignments: Assignments, truth: dict[str, str]) -> list[RiskQuery]:
-    """One retrieval query per risk level over the full cohort.
-
-    The rank score orders each query by affinity to its level: descending
-    for high, ascending for low, and by closeness to the mid-band center
-    for mid. Levels absent from the ground truth are skipped.
-    """
-    ids = assignments.ids
-    ranks = assignments.rank_score
-    affinities = {
-        "low": -ranks,
-        "mid": -np.abs(ranks - MID_RANK_CENTER),
-        "high": ranks,
-    }
-    queries = []
-    for level in RISK_LABELS:
-        relevant = frozenset(cid for cid in ids if truth.get(cid) == level)
-        if not relevant:
-            continue
-        order = np.argsort(-affinities[level], kind="stable")
-        queries.append(
-            RiskQuery(level=level, ranked_ids=tuple(ids[i] for i in order), relevant_ids=relevant)
-        )
-    return queries
 
 
 def correlation_report(assignments: Assignments) -> dict[str, float]:
@@ -153,39 +133,37 @@ def correlation_report(assignments: Assignments) -> dict[str, float]:
     for name, col in columns.items():
         if np.std(col) == 0:
             raise DegenerateColumn(f"column {name!r} is constant")
-    names = list(columns)
-    out = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            out[f"{a}~{b}"] = float(np.corrcoef(columns[a], columns[b])[0, 1])
-    return out
+    return {
+        f"{a}~{b}": float(np.corrcoef(columns[a], columns[b])[0, 1])
+        for a, b in combinations(columns, 2)
+    }
 
 
-def evaluate_assignments(
-    assignments: Assignments,
-    truth: dict[str, str],
-    churn_outcomes: dict[str, int] | None = None,
-) -> MetricReport:
-    """Full metric report for one strategy's assignments."""
-    predicted = assignments.risk.tolist()
-    true_labels = [truth[cid] for cid in assignments.ids]
+def evaluate_assignments(assignments: Assignments, truth, churn_outcomes=None) -> MetricReport:
+    """Full metric report for one strategy's assignments.
+
+    `truth` (risk levels) and `churn_outcomes` (0/1, -1 unknown) hold one
+    entry per assignment row. AUC is reported when the known outcomes hold
+    both classes, and left blank otherwise.
+    """
+    predicted = assignments.risk
     auc = None
     if churn_outcomes is not None:
-        outcomes = [churn_outcomes[cid] for cid in assignments.ids]
-        if len(set(outcomes)) == 2:
+        outcomes = np.asarray(churn_outcomes)
+        if np.any(outcomes == 0) and np.any(outcomes == 1):
             auc = roc_auc(assignments.propensity, outcomes)
     try:
         correlations = correlation_report(assignments)
     except DegenerateColumn:  # too few customers, a constant column, or the baseline
         correlations = {}
     return MetricReport(
-        map=mean_average_precision(build_risk_queries(assignments, truth)),
-        macro_f1=macro_f1(predicted, true_labels),
-        accuracy=accuracy(predicted, true_labels),
+        map=mean_average_precision(assignments.rank_score, truth),
+        macro_f1=macro_f1(predicted, truth),
+        accuracy=accuracy(predicted, truth),
         auc=auc,
-        per_class_f1=per_class_f1(predicted, true_labels),
+        per_class_f1=per_class_f1(predicted, truth),
         correlations=correlations,
-        risk_counts={level: predicted.count(level) for level in RISK_LABELS},
+        risk_counts={level: int(np.sum(predicted == level)) for level in RISK_LABELS},
     )
 
 

@@ -109,6 +109,8 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             section_fields = {f.name: f for f in dataclasses.fields(target)}
             if name not in section_fields:
                 raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
+            if name == "seed":
+                raise InvalidConfig(f"line {lineno}: set the top-level 'seed', not {key!r}")
             current = getattr(target, name)
             nested_updates.setdefault(section, {})[name] = _coerce(key, value, type(current))
         elif key in top_fields:
@@ -128,12 +130,12 @@ def load_config(path: str | Path | None, seed: int | None = None) -> RunConfig:
 
 
 def split_table(table: CustomerTable, test_fraction: float, seed: int):
-    """Deterministic shuffle split; returns (train_table, test_table) in table order."""
+    """Deterministic shuffle split; returns (train_table, test_table, is_test) in table order."""
     n = len(table)
     order = np.random.default_rng(seed + 6).permutation(n)
     is_test = np.zeros(n, dtype=bool)
     is_test[order[: max(1, int(round(test_fraction * n)))]] = True
-    return table.take(~is_test), table.take(is_test)
+    return table.take(~is_test), table.take(is_test), is_test
 
 
 def train_fl(train_table: CustomerTable, cfg: RunConfig) -> flm.FLModel:
@@ -178,7 +180,7 @@ class Split:
 
     def __init__(self, cohort: synth.SyntheticCohort, cfg: RunConfig, source):
         self.cohort, self.cfg, self._source = cohort, cfg, source
-        self.train, self.test = split_table(cohort.table, cfg.test_fraction, cfg.seed)
+        self.train, self.test, self.is_test = split_table(cohort.table, cfg.test_fraction, cfg.seed)
         self._models = {}
 
     def model(self, name: str):
@@ -229,10 +231,11 @@ def assign(strategy: str, split: Split) -> fusion.Assignments:
     raise InvalidConfig(f"unknown strategy {strategy!r}")
 
 
-def evaluate(assignments: fusion.Assignments, cohort: synth.SyntheticCohort):
-    """Metric report of one strategy's assignments against the cohort's truth."""
-    outcomes = dict(zip(cohort.table.ids, cohort.table.churn_outcome.tolist()))
-    return metrics.evaluate_assignments(assignments, cohort.ground_truth, outcomes)
+def evaluate(assignments: fusion.Assignments, split: Split) -> metrics.MetricReport:
+    """Metric report of one strategy's test-side assignments against the cohort's truth."""
+    return metrics.evaluate_assignments(
+        assignments, split.cohort.risk_tier[split.is_test], split.test.churn_outcome
+    )
 
 
 @dataclass
@@ -243,10 +246,9 @@ class ExperimentResult:
 
 def run_experiment(cfg: RunConfig, strategies=STRATEGIES) -> ExperimentResult:
     """Generate, train, and evaluate the requested strategies on one seed."""
-    cohort = synth.generate_cohort(cfg.synth)
-    split = Split(cohort, cfg, train_model)
+    split = Split(synth.generate_cohort(cfg.synth), cfg, train_model)
     assignments = {strategy: assign(strategy, split) for strategy in strategies}
-    reports = {strategy: evaluate(a, cohort) for strategy, a in assignments.items()}
+    reports = {strategy: evaluate(a, split) for strategy, a in assignments.items()}
     return ExperimentResult(assignments, reports)
 
 

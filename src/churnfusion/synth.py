@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,12 +60,17 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SyntheticCohort:
+    """A table, its clips by audio_ref, and per-row truth in table order."""
+
     table: CustomerTable
     audio_clips: dict[str, AudioClip]
-    ground_truth: dict[str, str]  # id -> low/mid/high
-    true_fl: dict[str, float] = field(default_factory=dict)
+    risk_tier: np.ndarray  # low/mid/high
+    true_fl: np.ndarray  # float64, NaN = unknown
 
     def __post_init__(self):
+        for name in ("risk_tier", "true_fl"):
+            if np.shape(getattr(self, name)) != (len(self.table),):
+                raise SchemaMismatch(f"{name} needs one entry per table row")
         for ref in self.table.audio_ref:
             if ref is not None and ref not in self.audio_clips:
                 raise ValueError(f"unresolved audio_ref {ref!r}")
@@ -158,7 +163,7 @@ def generate_cohort(config: SynthConfig) -> SyntheticCohort:
 
     # true risk tier: churn probability banded at the 50%/80% population
     # quantiles, so the label reflects the full multimodal churn state
-    risk_label = np.empty(n, dtype=object)
+    risk_label = np.empty(n, dtype="U4")
     order = np.argsort(p_churn, kind="stable")
     cuts = (int(round(0.5 * n)), int(round(0.8 * n)))
     risk_label[order[: cuts[0]]] = RISK_LABELS[0]
@@ -179,9 +184,7 @@ def generate_cohort(config: SynthConfig) -> SyntheticCohort:
     table = CustomerTable(
         TableSchema.with_width(nf), ids, X, np.where(labeled, true_fl, np.nan), churn, refs
     )
-    truth = dict(zip(ids, risk_label.tolist()))
-    fl_map = dict(zip(ids, true_fl.tolist()))
-    return SyntheticCohort(table=table, audio_clips=clips, ground_truth=truth, true_fl=fl_map)
+    return SyntheticCohort(table, clips, risk_label, true_fl)
 
 
 def generate_ser_corpus(
@@ -236,8 +239,8 @@ def write_cohort(cohort: SyntheticCohort, out_dir: str | Path) -> None:
             manifest.append(f"{cid},audio/{ref}")
     (out / "manifest.csv").write_text("\n".join(manifest) + "\n", encoding="utf-8")
     truth_lines = ["id,risk_tier,true_fl"]
-    for cid in cohort.table.ids:
-        truth_lines.append(f"{cid},{cohort.ground_truth[cid]},{cohort.true_fl.get(cid, '')!s}")
+    for cid, tier, fl in zip(cohort.table.ids, cohort.risk_tier, cohort.true_fl.tolist()):
+        truth_lines.append(f"{cid},{tier},{'' if np.isnan(fl) else fl}")
     (out / "ground_truth.csv").write_text("\n".join(truth_lines) + "\n", encoding="utf-8")
 
 
@@ -246,18 +249,20 @@ def read_cohort(in_dir: str | Path) -> SyntheticCohort:
     src = Path(in_dir)
     raw = (src / "table.csv").read_bytes()
     header = raw.split(b"\n", 1)[0].decode("utf-8").split(",")
-    table = parse_customer_table(raw, TableSchema.with_width(len(header) - 4))
+    table = parse_customer_table(raw, TableSchema(tuple(header[1:-3])))
     clips = {}
     for line in (src / "manifest.csv").read_text(encoding="utf-8").splitlines()[1:]:
         cid, path = line.split(",", 1)
         clips[Path(path).name] = wav_bytes_to_clip((src / path).read_bytes())
-    truth, fl_map = {}, {}
+    tier_of, fl_of = {}, {}
     for line in (src / "ground_truth.csv").read_text(encoding="utf-8").splitlines()[1:]:
         cid, tier, fl = line.split(",")
-        truth[cid] = tier
-        if fl:
-            fl_map[cid] = float(fl)
-    missing = [cid for cid in table.ids if cid not in truth]
+        tier_of[cid] = tier
+        fl_of[cid] = float(fl) if fl else np.nan
+    missing = [cid for cid in table.ids if cid not in tier_of]
     if missing:
         raise SchemaMismatch(f"ground_truth.csv has no row for id {missing[0]!r}")
-    return SyntheticCohort(table=table, audio_clips=clips, ground_truth=truth, true_fl=fl_map)
+    # truth rows may come in any order; the cohort holds them in table order
+    risk_tier = np.array([tier_of[cid] for cid in table.ids], dtype=str)
+    true_fl = np.array([fl_of[cid] for cid in table.ids], dtype=np.float64)
+    return SyntheticCohort(table, clips, risk_tier, true_fl)

@@ -168,14 +168,15 @@ class TestPredict:
     def test_zero_parameters_give_half(self):
         params = mlp.MLPParams((2, 1), [np.zeros((2, 1))], [np.zeros(1)])
         model = cm.ChurnModel((0, 1), params, np.zeros(2), np.ones(2))
-        assert cm.predict_churn(model, np.array([3.0, -1.0])) == 0.5
+        rows = np.array([[3.0, -1.0], [0.0, 2.0]])
+        assert cm.predict_churn_batch(model, rows).tolist() == [0.5, 0.5]
 
     def test_output_in_open_unit_interval(self):
         X, y = separable_data(3)
         model = cm.train_churn(X, y, rfe_k=2, hyper=mlp.TrainConfig(epochs=20, seed=2))
-        for row in X[:20]:
-            p = cm.predict_churn(model, row)
-            assert 0.0 < p < 1.0
+        p = cm.predict_churn_batch(model, X[:20])
+        assert p.shape == (20,)
+        assert np.all((0.0 < p) & (p < 1.0))
 
     def test_deep_interior_point_confident(self):
         X, y = separable_data(4, n=200)
@@ -184,13 +185,13 @@ class TestPredict:
         ones, zeros = X[y == 1], X[y == 0]
         margins = [np.min(np.linalg.norm(zeros - p, axis=1)) for p in ones]
         deep = ones[int(np.argmax(margins))]
-        assert cm.predict_churn(model, deep) > 0.9
+        assert cm.predict_churn_batch(model, deep)[0] > 0.9
 
     def test_dimension_mismatch(self):
         X, y = separable_data(5)
         model = cm.train_churn(X, y, rfe_k=2, hyper=mlp.TrainConfig(epochs=5, seed=0))
         with pytest.raises(DimensionMismatch):
-            cm.predict_churn(model, np.array([1.0]))
+            cm.predict_churn_batch(model, np.array([[1.0], [2.0]]))
 
     def test_selection_and_normalization_applied(self):
         rng = np.random.default_rng(7)
@@ -199,9 +200,10 @@ class TestPredict:
         model = cm.train_churn(X, y, rfe_k=1, hyper=mlp.TrainConfig(epochs=100, seed=0))
         assert model.selected_features == (0,)
         # prediction must ignore the unselected noisy columns
-        row = X[0].copy()
-        row[1:] = 999.0
-        assert cm.predict_churn(model, row) == cm.predict_churn(model, X[0])
+        rows = X[:5].copy()
+        rows[:, 1:] = 999.0
+        expected = cm.predict_churn_batch(model, X[:5])
+        assert np.array_equal(cm.predict_churn_batch(model, rows), expected)
 
 
 def test_serialization_round_trip():
@@ -211,6 +213,6 @@ def test_serialization_round_trip():
     assert blob[:4] == b"CHRN"
     again = cm.load_churn_model(blob)
     assert again.selected_features == model.selected_features
-    q = X[3]
-    assert cm.predict_churn(again, q) == cm.predict_churn(model, q)
+    q = X[:4]
+    assert np.array_equal(cm.predict_churn_batch(again, q), cm.predict_churn_batch(model, q))
     assert cm.save_churn_model(again) == blob

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,53 @@ class TestSmogn:
             flm.smogn_resample(bad, flm.SmognConfig(k_neighbors=2))
 
 
+PINNED_TRANSCRIPT = [
+    (0, 0, 131, 0.8728208897865927, 0.1331535802921288),
+    (0, 0, 70, 0.4764966154968595, 0.07137324567382484),
+    (0, 1, 32, 0.3381059743570372, 0.12830876832686888),
+    (0, 1, 62, 0.38058021421067595, 0.04707922125374884),
+    (1, 0, 88, 0.9596943998825193, 0.08105258048801119),
+    (1, 0, 149, 0.38058021421067595, 0.0558123081023687),
+    (1, 1, 19, 0.2521887374367271, 0.11933665117404713),
+    (1, 1, 5, 0.20021303460927445, 0.11316090906228364),
+    (2, 0, 52, 0.20021303460927442, 0.1440348627361167),
+    (2, 0, 61, 0.9252535819431906, 0.05516798833663727),
+    (2, 1, 46, 0.8728208897865927, 0.02830342447049219),
+    (2, 1, 132, 0.8740196610448931, 0.021512305803638644),
+    (3, 0, 147, 0.9017937337866356, 0.0433373863316535),
+    (3, 0, 99, 0.4035898154889184, 0.03231656357994654),
+    (3, 1, 90, 0.44575267875973296, 0.055955324654692495),
+    (3, 1, 3, 0.9236350994083318, 0.0493250551420606),
+    (4, 0, 123, 0.2076144904284858, 0.03941117415021522),
+    (4, 0, 57, 0.8495890113072212, 0.019265347225884147),
+    (4, 1, 68, 0.05638747391881412, 0.04494233482173157),
+    (4, 1, 148, 0.9764534783247455, 0.04176864966505313),
+    (5, 0, 145, 0.09373930631697425, 0.010538535847556811),
+    (5, 0, 1, 0.12237838529041097, 0.008138600670394913),
+    (5, 1, 141, 0.6617186799109014, 0.06699887715247152),
+    (5, 1, 115, 0.2621125158933333, 0.012645581295439814),
+]
+
+PINNED_TIE_TRANSCRIPT = [
+    (0, 0, 24, 0.43333333333333335, 0.07950617283950617),
+    (0, 1, 28, 0.24444444444444446, 0.0979286694101509),
+    (1, 0, 12, 0.4333333333333333, 0.06259259259259255),
+    (1, 1, 1, 0.5, 0.06333333333333331),
+    (2, 0, 8, 0.6333333333333333, 0.037037037037037285),
+    (2, 1, 33, 0.4333333333333333, 0.06259259259259255),
+    (3, 0, 23, 0.6333333333333334, 0.03703703703703702),
+    (3, 1, 18, 0.6333333333333333, 0.037037037037037285),
+    (4, 0, 2, 0.39999999999999997, 0.026666666666666783),
+    (4, 1, 7, 0.43333333333333335, 0.029382716049382862),
+    (5, 0, 39, 0.2333333333333333, 0.023703703703703692),
+    (5, 1, 27, 0.24444444444444446, 0.026117969821673533),
+    (6, 0, 6, 0.5333333333333333, 0.008395061728395069),
+    (6, 1, 20, 0.43333333333333335, 0.0069135802469134375),
+    (7, 0, 21, 0.4444444444444445, 0.005884773662551463),
+    (7, 1, 14, 0.24444444444444446, 0.022935528120713304),
+]
+
+
 class TestCoreg:
     def test_empty_pool_equals_plain_knn_average(self):
         rng = np.random.default_rng(2)
@@ -99,6 +148,39 @@ class TestCoreg:
         a = flm.coreg_train(labeled, unlabeled, smogn=None, cfg=cfg)
         b = flm.coreg_train(labeled, unlabeled, smogn=None, cfg=cfg)
         assert a.transcript == b.transcript
+
+    def test_pinned_transcript_and_blob(self):
+        # taken from the per-candidate gain loop before it was vectorized
+        table = generate_cohort(
+            SynthConfig(n_customers=200, n_features=6, clip_duration_s=0.5, seed=4)
+        ).table
+        known = ~np.isnan(table.fl_label)
+        model = flm.coreg_train(
+            list(zip(table.features[known], table.fl_label[known])),
+            list(table.features[~known]),
+            flm.SmognConfig(seed=5),
+            flm.CoregConfig(max_iterations=6, pool_size=30, batch_per_iter=2, seed=6),
+        )
+        assert model.transcript == PINNED_TRANSCRIPT
+        blob = flm.save_fl_model(model)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "967697b30d0755a717bd9eaf7deed1a7"
+            "0bec8a3fee085d84b3941e348b462d17"
+        )
+
+    def test_pinned_transcript_with_distance_ties(self):
+        # integer grid points tie on distance often; a tie keeps the incumbent neighbor
+        rng = np.random.default_rng(11)
+        X = rng.integers(-2, 3, size=(30, 2)).astype(float)
+        y = rng.integers(0, 11, size=30) / 10.0
+        unlabeled = list(rng.integers(-2, 3, size=(40, 2)).astype(float))
+        model = flm.coreg_train(
+            [(X[i], float(y[i])) for i in range(30)],
+            unlabeled,
+            smogn=None,
+            cfg=flm.CoregConfig(max_iterations=8, pool_size=20, seed=3),
+        )
+        assert model.transcript == PINNED_TIE_TRANSCRIPT
 
     def test_transcript_gains_strictly_positive(self):
         rng = np.random.default_rng(4)
@@ -128,7 +210,7 @@ class TestCoreg:
             model = flm.coreg_train(labeled, unlabeled, flm.SmognConfig(seed=seed), cfg)
             baseline = flm.coreg_train(labeled, [], flm.SmognConfig(seed=seed), cfg)
             Xt = test.features
-            yt = np.array([cohort.true_fl[cid] for cid in test.ids])
+            yt = cohort.true_fl[300:]
             rmse_coreg.append(np.sqrt(np.mean((flm.predict_fl_batch(model, Xt) - yt) ** 2)))
             rmse_baseline.append(
                 np.sqrt(np.mean((flm.predict_fl_batch(baseline, Xt) - yt) ** 2))
@@ -143,7 +225,7 @@ class TestPredict:
         model = flm.FLModel(
             learner1=flm.KNNRegressor(X, y, 1, 2.0), learner2=flm.KNNRegressor(X, y, 1, 5.0)
         )
-        assert flm.predict_fl(model, X[1]) == 0.8
+        assert flm.predict_fl_batch(model, X[1]).tolist() == [0.8]
 
     def test_tie_break_lower_index_wins(self):
         X = np.array([[0.0], [2.0]])
@@ -152,7 +234,7 @@ class TestPredict:
             learner1=flm.KNNRegressor(X, y, 1, 2.0), learner2=flm.KNNRegressor(X, y, 1, 5.0)
         )
         # query at 1.0 is equidistant from both training points
-        assert flm.predict_fl(model, np.array([1.0])) == 0.2
+        assert flm.predict_fl_batch(model, np.array([[1.0]])).tolist() == [0.2]
 
     def test_output_clipped_to_unit_interval(self):
         rng = np.random.default_rng(6)
@@ -160,8 +242,9 @@ class TestPredict:
         model = flm.FLModel(
             learner1=flm.KNNRegressor(X, y, 3, 2.0), learner2=flm.KNNRegressor(X, y, 3, 5.0)
         )
-        for q in rng.normal(0, 10, size=(20, 2)):
-            assert 0.0 <= flm.predict_fl(model, q) <= 1.0
+        pred = flm.predict_fl_batch(model, rng.normal(0, 10, size=(20, 2)))
+        assert pred.shape == (20,)
+        assert np.all((0.0 <= pred) & (pred <= 1.0))
 
     def test_dimension_mismatch(self):
         model = flm.FLModel(
@@ -169,7 +252,7 @@ class TestPredict:
             learner2=flm.KNNRegressor(np.zeros((3, 2)), np.zeros(3), 1, 5.0),
         )
         with pytest.raises(DimensionMismatch):
-            flm.predict_fl(model, np.zeros(4))
+            flm.predict_fl_batch(model, np.zeros((2, 4)))
 
 
 def test_serialization_round_trip():
@@ -180,8 +263,8 @@ def test_serialization_round_trip():
     assert blob[:4] == b"FLKN"
     again = flm.load_fl_model(blob)
     assert flm.save_fl_model(again) == blob
-    q = rng.normal(size=3)
-    assert flm.predict_fl(again, q) == flm.predict_fl(model, q)
+    q = rng.normal(size=(5, 3))
+    assert np.array_equal(flm.predict_fl_batch(again, q), flm.predict_fl_batch(model, q))
 
 
 def test_learner_diversity_enforced():

@@ -173,10 +173,10 @@ class TestRunLateFusion:
     def test_high_risk_enriched_in_true_high_tier(self, small_world):
         cohort, fl_model, _, churn, emotions, _ = small_world
         out = fusion.run_late_fusion(cohort.table, fl_model, churn, emotions)
-        flagged = [cid for cid, risk in zip(out.ids, out.risk) if risk == "high"]
-        assert flagged
-        base_rate = np.mean([cohort.ground_truth[i] == "high" for i in cohort.ground_truth])
-        hit_rate = np.mean([cohort.ground_truth[i] == "high" for i in flagged])
+        flagged = out.risk == "high"
+        assert flagged.any()
+        base_rate = np.mean(cohort.risk_tier == "high")
+        hit_rate = np.mean(cohort.risk_tier[flagged] == "high")
         assert hit_rate > base_rate
 
 

@@ -70,30 +70,31 @@ class TestAveragePrecision:
             assert 0.0 <= metrics.average_precision(rel, m) <= 1.0
 
 
-def make_query(level, ranked, relevant):
-    return metrics.RiskQuery(level, tuple(ranked), frozenset(relevant))
-
-
 class TestMeanAveragePrecision:
     def test_all_perfect(self):
-        qs = [make_query(lv, ["a", "b"], ["a"]) for lv in ("low", "mid", "high")]
-        assert metrics.mean_average_precision(qs) == 1.0
+        # each band's one relevant row leads its own query
+        assert metrics.mean_average_precision([0.0, 2.0, 4.0], ["low", "mid", "high"]) == 1.0
 
     def test_arithmetic_mean_two_thirds(self):
-        qs = [
-            make_query("low", ["a", "b"], ["a"]),        # AP = 1
-            make_query("mid", ["b", "a"], ["a"]),        # AP = 1/2
-            make_query("high", ["c", "a", "b"], ["a"]),  # AP = 1/2
-        ]
-        assert metrics.mean_average_precision(qs) == pytest.approx(2 / 3)
+        ranks = [0.0, 3.0, 2.0]
+        truth = ["low", "mid", "high"]
+        # low: AP = 1; mid ranks the high row (distance 0) first: AP = 1/2;
+        # high ranks the mid row (3.0) first: AP = 1/2
+        assert metrics.mean_average_precision(ranks, truth) == pytest.approx(2 / 3)
 
     def test_empty_query_set(self):
         with pytest.raises(EmptyQuerySet):
-            metrics.mean_average_precision([])
+            metrics.mean_average_precision([0.0, 1.0], ["-", "-"])
 
     def test_query_without_relevant(self):
+        # a level with no relevant row runs no query, so it cannot raise NoRelevant
+        assert metrics.mean_average_precision([0.0, 4.0], ["low", "high"]) == 1.0
         with pytest.raises(NoRelevant):
-            metrics.mean_average_precision([make_query("low", ["a"], [])])
+            metrics.average_precision([0, 0], 0)
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            metrics.mean_average_precision([0.0, 1.0], ["low"])
 
 
 class TestMacroF1:
@@ -213,30 +214,47 @@ def cohort_assignments(rows=COHORT_ROWS):
     return make_assignments(rows)
 
 
-def own_bands(assigns):
-    return dict(zip(assigns.ids, assigns.risk.tolist()))
-
-
-class TestBuildRiskQueries:
+class TestRiskQueries:
     def test_affinity_ordering_per_level(self):
         assigns = cohort_assignments()
-        truth = own_bands(assigns)
-        queries = {q.level: q for q in metrics.build_risk_queries(assigns, truth)}
-        assert queries["low"].ranked_ids[:2] == ("a", "b")
-        assert queries["high"].ranked_ids[:2] == ("e", "f")
-        assert set(queries["mid"].ranked_ids[:2]) == {"c", "d"}
+        ranks = assigns.rank_score
+        # rows a, b lead the low query, e, f the high query and c, d the mid query
+        for level, rows in (("low", [0, 1]), ("high", [4, 5]), ("mid", [2, 3])):
+            truth = np.full(6, "-", dtype=object)
+            truth[rows] = level
+            assert metrics.mean_average_precision(ranks, truth) == 1.0
+        # c (2.03) is closer to the mid center than d (2.04), so it leads the mid query
+        for row, ap in ((2, 1.0), (3, 0.5)):
+            truth = np.full(6, "-", dtype=object)
+            truth[row] = "mid"
+            assert metrics.mean_average_precision(ranks, truth) == ap
 
     def test_perfect_assignments_reach_map_one(self):
         assigns = cohort_assignments()
-        truth = own_bands(assigns)
-        queries = metrics.build_risk_queries(assigns, truth)
-        assert metrics.mean_average_precision(queries) == 1.0
+        assert metrics.mean_average_precision(assigns.rank_score, assigns.risk) == 1.0
 
     def test_absent_level_skipped(self):
         assigns = cohort_assignments()
-        truth = {cid: "low" for cid in assigns.ids}
-        queries = metrics.build_risk_queries(assigns, truth)
-        assert [q.level for q in queries] == ["low"]
+        truth = ["low"] * len(assigns.ids)
+        # one query only: the absent mid and high levels would add AP 0 or fail
+        assert metrics.mean_average_precision(assigns.rank_score, truth) == 1.0
+
+    def test_matches_per_row_reference_with_ties(self):
+        # reference: Python's stable sort over row positions, one AP per present level
+        rng = np.random.default_rng(8)
+        keys = {"low": lambda r: r, "mid": lambda r: abs(r - 2.0), "high": lambda r: -r}
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            ranks = (rng.integers(0, 17, n) / 4.0).tolist()
+            truth = [("low", "mid", "high", "-")[i] for i in rng.integers(0, 4, n)]
+            aps = []
+            for level in ("low", "mid", "high"):
+                if level in truth:
+                    order = sorted(range(n), key=lambda i: keys[level](ranks[i]))
+                    rel = [int(truth[i] == level) for i in order]
+                    aps.append(brute_force_ap(rel, sum(rel)))
+            if aps:
+                assert metrics.mean_average_precision(ranks, truth) == float(np.mean(aps))
 
 
 class TestCorrelationReport:
@@ -265,27 +283,47 @@ class TestCorrelationReport:
 class TestEvaluateAssignments:
     def test_full_report_on_perfect_cohort(self):
         assigns = cohort_assignments()
-        truth = own_bands(assigns)
-        outcomes = {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1, "f": 1}
-        report = metrics.evaluate_assignments(assigns, truth, outcomes)
+        outcomes = np.array([0, 0, 0, 1, 1, 1])
+        report = metrics.evaluate_assignments(assigns, assigns.risk, outcomes)
         assert report.map == 1.0
         assert report.macro_f1 == 1.0
         assert report.accuracy == 1.0
-        assert report.auc == metrics.roc_auc(
-            assigns.propensity, [outcomes[cid] for cid in assigns.ids]
-        )
+        assert report.auc == metrics.roc_auc(assigns.propensity, outcomes)
         assert set(report.per_class_f1) == {"low", "mid", "high"}
         assert report.risk_counts == {"low": 2, "mid": 2, "high": 2}
+        # numpy scalars would print as np.float64(...) in the report
+        for value in (report.map, report.macro_f1, report.accuracy, report.auc):
+            assert type(value) is float
+        assert all(type(v) is float for v in report.per_class_f1.values())
+        assert all(type(v) is int for v in report.risk_counts.values())
 
     def test_auc_none_without_outcomes(self):
         assigns = cohort_assignments()
-        truth = own_bands(assigns)
-        assert metrics.evaluate_assignments(assigns, truth).auc is None
+        assert metrics.evaluate_assignments(assigns, assigns.risk).auc is None
+
+    def test_auc_from_known_outcomes_when_one_is_unknown(self):
+        assigns = cohort_assignments()
+        outcomes = np.array([1, 0, 1, 0, 1, -1])
+        report = metrics.evaluate_assignments(assigns, assigns.risk, outcomes)
+        known = outcomes >= 0
+        assert report.auc == metrics.roc_auc(assigns.propensity[known], outcomes[known])
+        assert report.auc == pairwise_auc(assigns.propensity[known], outcomes[known])
+
+    def test_auc_blank_when_known_outcomes_are_one_class(self):
+        assigns = cohort_assignments()
+        for outcomes in ([1, -1, 1, -1, 1, -1], [0, 0, 0, 0, 0, 0], [-1] * 6):
+            assert metrics.evaluate_assignments(assigns, assigns.risk, outcomes).auc is None
+
+    def test_truth_must_align_with_rows(self):
+        assigns = cohort_assignments()
+        with pytest.raises(LengthMismatch):
+            metrics.evaluate_assignments(assigns, assigns.risk[:-1])
+        with pytest.raises(LengthMismatch):
+            metrics.evaluate_assignments(assigns, assigns.risk, [0, 1, 0])
 
     def test_serialize_report_round_trips_values(self):
         assigns = cohort_assignments()
-        truth = own_bands(assigns)
-        report = metrics.evaluate_assignments(assigns, truth)
+        report = metrics.evaluate_assignments(assigns, assigns.risk)
         text = metrics.serialize_report(report)
         fields = dict(line.split("=", 1) for line in text.strip().split("\n"))
         assert float(fields["map"]) == report.map

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from churnfusion import cli, pipeline
+from churnfusion import cli, metrics, pipeline
 from churnfusion.errors import InvalidConfig, MissingModality
 from churnfusion.synth import SynthConfig, generate_cohort
 
@@ -57,6 +57,12 @@ class TestParseConfig:
         assert cfg.churn_train.seed == 13
         assert cfg.ser_train.seed == 14
 
+    def test_nested_seed_rejected(self):
+        # nested seeds are re-derived from the top-level seed, so setting one does nothing
+        for key in ("coreg.seed", "synth.seed", "churn_train.seed", "ser_train.seed"):
+            with pytest.raises(InvalidConfig, match="top-level 'seed'"):
+                pipeline.parse_config_text(f"{key} = 99")
+
     def test_invalid_values_rejected(self):
         with pytest.raises(InvalidConfig):
             pipeline.parse_config_text("test_fraction = 1.5")
@@ -67,17 +73,21 @@ class TestParseConfig:
 class TestSplitTable:
     def test_deterministic_partition(self):
         cohort = generate_cohort(SynthConfig(n_customers=30, seed=0))
-        a_train, a_test = pipeline.split_table(cohort.table, 0.3, seed=5)
-        b_train, b_test = pipeline.split_table(cohort.table, 0.3, seed=5)
+        a_train, a_test, a_mask = pipeline.split_table(cohort.table, 0.3, seed=5)
+        b_train, b_test, b_mask = pipeline.split_table(cohort.table, 0.3, seed=5)
         assert a_train.ids == b_train.ids
         assert a_test.ids == b_test.ids
+        assert np.array_equal(a_mask, b_mask)
         assert len(a_test) == round(0.3 * 30)
         assert sorted(a_train.ids + a_test.ids) == sorted(cohort.table.ids)
 
     @pytest.mark.parametrize("n,fraction", [(30, 0.3), (47, 0.25), (2, 0.5), (200, 0.7)])
     def test_sides_partition_ids_in_table_order(self, n, fraction):
         table = generate_cohort(SynthConfig(n_customers=n, seed=4)).table
-        train, test = pipeline.split_table(table, fraction, seed=9)
+        train, test, is_test = pipeline.split_table(table, fraction, seed=9)
+        assert is_test.dtype == bool
+        assert test.ids == table.take(is_test).ids
+        assert train.ids == table.take(~is_test).ids
         position = {cid: i for i, cid in enumerate(table.ids)}
         assert set(train.ids).isdisjoint(test.ids)
         assert set(train.ids) | set(test.ids) == set(table.ids)
@@ -99,13 +109,13 @@ class TestSplitTable:
 
     def test_different_seed_differs(self):
         cohort = generate_cohort(SynthConfig(n_customers=30, seed=0))
-        _, a = pipeline.split_table(cohort.table, 0.3, seed=1)
-        _, b = pipeline.split_table(cohort.table, 0.3, seed=2)
+        _, a, _ = pipeline.split_table(cohort.table, 0.3, seed=1)
+        _, b, _ = pipeline.split_table(cohort.table, 0.3, seed=2)
         assert a.ids != b.ids
 
     def test_at_least_one_test_row(self):
         cohort = generate_cohort(SynthConfig(n_customers=3, seed=0))
-        _, test = pipeline.split_table(cohort.table, 0.01, seed=0)
+        _, test, _ = pipeline.split_table(cohort.table, 0.01, seed=0)
         assert len(test) == 1
 
 
@@ -125,9 +135,23 @@ class TestRunExperiment:
     def test_assignments_cover_test_split(self, small_cfg):
         result = pipeline.run_experiment(small_cfg, strategies=("none", "late"))
         cohort = generate_cohort(small_cfg.synth)
-        _, test_tbl = pipeline.split_table(cohort.table, small_cfg.test_fraction, small_cfg.seed)
+        _, test_tbl, _ = pipeline.split_table(
+            cohort.table, small_cfg.test_fraction, small_cfg.seed
+        )
         for strategy in ("none", "late"):
             assert result.assignments[strategy].ids == test_tbl.ids
+
+    def test_evaluate_scores_against_test_side_truth(self, small_cfg):
+        cohort = generate_cohort(small_cfg.synth)
+        split = pipeline.Split(cohort, small_cfg, pipeline.train_model)
+        assigns = pipeline.assign("none", split)
+        # reference: look every scored customer up by id
+        tier = dict(zip(cohort.table.ids, cohort.risk_tier.tolist()))
+        outcome = dict(zip(cohort.table.ids, cohort.table.churn_outcome.tolist()))
+        expected = metrics.evaluate_assignments(
+            assigns, [tier[cid] for cid in assigns.ids], [outcome[cid] for cid in assigns.ids]
+        )
+        assert pipeline.evaluate(assigns, split) == expected
 
     def test_compare_over_seeds_shapes(self, small_cfg):
         rows = pipeline.compare_over_seeds(small_cfg, strategies=("none",))
@@ -246,6 +270,14 @@ class TestCli:
         config.write_text("nonsense = 1", encoding="utf-8")
         assert cli.main(["gen", "--out", str(tmp_path / "ws"), "--config", str(config)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_nested_seed_in_config_fails(self, tmp_path, capsys):
+        config = tmp_path / "bad.txt"
+        config.write_text("coreg.seed = 99\n", encoding="utf-8")
+        assert cli.main(["gen", "--out", str(tmp_path / "ws"), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "coreg.seed" in err and "'seed'" in err
 
     def test_bad_boolean_in_config_fails(self, tmp_path, capsys):
         config = tmp_path / "bad.txt"

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from churnfusion.audio_features import hpss_median, stft_magnitude
-from churnfusion.data_model import NEGATIVE_LABELS, serialize_customer_table
+from churnfusion.data_model import NEGATIVE_LABELS, TableSchema, serialize_customer_table
 from churnfusion.errors import InvalidConfig, InvalidDuration, SchemaMismatch
 from churnfusion.synth import (
     SynthConfig,
+    SyntheticCohort,
     clip_to_wav_bytes,
     generate_cohort,
     generate_ser_corpus,
@@ -26,8 +29,7 @@ def hpss_shares(clip):
 
 def churn_fl_correlation(cohort):
     churn = cohort.table.churn_outcome.astype(float)
-    fl = np.array([cohort.true_fl[cid] for cid in cohort.table.ids])
-    return float(np.corrcoef(fl, churn)[0, 1])
+    return float(np.corrcoef(cohort.true_fl, churn)[0, 1])
 
 
 class TestSynthAudio:
@@ -58,7 +60,8 @@ class TestGenerateCohort:
         assert serialize_customer_table(a.table) == serialize_customer_table(b.table)
         for ref in a.audio_clips:
             assert clip_to_wav_bytes(a.audio_clips[ref]) == clip_to_wav_bytes(b.audio_clips[ref])
-        assert a.ground_truth == b.ground_truth
+        assert np.array_equal(a.risk_tier, b.risk_tier)
+        assert np.array_equal(a.true_fl, b.true_fl)
 
     def test_zero_coupling_decorrelates_fl_and_churn(self):
         cohort = generate_cohort(SynthConfig(n_customers=2000, coupling=0.0, seed=1))
@@ -145,9 +148,9 @@ class TestCohortIO:
         again = read_cohort(tmp_path)
         assert again.table.schema == cohort.table.schema
         assert again.table.ids == cohort.table.ids
-        assert again.ground_truth == cohort.ground_truth
+        assert again.risk_tier.tolist() == cohort.risk_tier.tolist()
         assert set(again.audio_clips) == set(cohort.audio_clips)
-        assert again.true_fl == pytest.approx(cohort.true_fl)
+        assert np.array_equal(again.true_fl, cohort.true_fl)
 
     def test_ground_truth_must_cover_every_id(self, tmp_path):
         write_cohort(generate_cohort(SynthConfig(n_customers=30, seed=2)), tmp_path)
@@ -156,3 +159,40 @@ class TestCohortIO:
         (tmp_path / "ground_truth.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(SchemaMismatch, match="c00001"):
             read_cohort(tmp_path)
+
+    def test_truth_rows_align_to_table_order(self, tmp_path):
+        cohort = generate_cohort(SynthConfig(n_customers=20, seed=3))
+        write_cohort(cohort, tmp_path)
+        path = tmp_path / "ground_truth.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([header, *reversed(rows)]) + "\n", encoding="utf-8")
+        again = read_cohort(tmp_path)
+        assert again.risk_tier.tolist() == cohort.risk_tier.tolist()
+        assert np.array_equal(again.true_fl, cohort.true_fl)
+
+    def test_named_feature_columns_round_trip(self, tmp_path):
+        base = generate_cohort(SynthConfig(n_customers=6, n_features=2, seed=5))
+        table = dataclasses.replace(base.table, schema=TableSchema(("age", "income")))
+        true_fl = base.true_fl.copy()
+        true_fl[2] = np.nan  # an unknown true FL is written as an empty cell
+        cohort = SyntheticCohort(table, base.audio_clips, base.risk_tier, true_fl)
+        write_cohort(cohort, tmp_path)
+        assert (tmp_path / "table.csv").read_text(encoding="utf-8").startswith(
+            "id,age,income,fl_label,churn_outcome,audio_ref\n"
+        )
+        again = read_cohort(tmp_path)
+        assert again.table.schema == table.schema
+        assert np.array_equal(again.table.features, table.features)
+        assert again.risk_tier.tolist() == cohort.risk_tier.tolist()
+        assert np.array_equal(again.true_fl, true_fl, equal_nan=True)
+        rewritten = tmp_path / "again"
+        write_cohort(again, rewritten)
+        for name in ("table.csv", "ground_truth.csv", "manifest.csv"):
+            assert (rewritten / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_truth_needs_one_entry_per_row(self):
+        cohort = generate_cohort(SynthConfig(n_customers=5, seed=1))
+        with pytest.raises(SchemaMismatch, match="risk_tier"):
+            SyntheticCohort(cohort.table, cohort.audio_clips, cohort.risk_tier[:4], cohort.true_fl)
+        with pytest.raises(SchemaMismatch, match="true_fl"):
+            SyntheticCohort(cohort.table, cohort.audio_clips, cohort.risk_tier, np.zeros((5, 1)))
