@@ -207,11 +207,6 @@ def mel_project(spec: Spectrogram, n_mels: int = 64, f_min: float = 50.0, f_max:
     return fb @ spec.magnitudes**2
 
 
-def mel_band_centers(n_mels: int, f_min: float, f_max: float) -> np.ndarray:
-    edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
-    return edges[1:-1]
-
-
 def build_feature_map(clip: AudioClip, params: FeatureParams = FeatureParams()) -> FeatureMap:
     """stft -> hpss -> mel on harmonic/percussive/raw streams, log, time-average."""
     spec = stft_magnitude(clip, params.frame_size, params.hop_size)

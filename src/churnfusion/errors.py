@@ -29,6 +29,10 @@ class ClipTooShort(ChurnFusionError):
     """Audio clip shorter than one analysis frame."""
 
 
+class BadWav(ChurnFusionError):
+    """A WAV file that is not readable 16-bit mono PCM."""
+
+
 class BadFrameParams(ChurnFusionError):
     """Frame size not a power of two, or hop outside (0, frame_size]."""
 

@@ -148,34 +148,6 @@ def train(
     return params, float(final_loss)
 
 
-def flatten_params(params: MLPParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for pair in zip(params.weights, params.biases) for a in pair])
-
-
-def unflatten_params(vector: np.ndarray, layer_dims) -> MLPParams:
-    weights, biases = [], []
-    offset = 0
-    for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
-        weights.append(vector[offset : offset + d_in * d_out].reshape(d_in, d_out).copy())
-        offset += d_in * d_out
-        biases.append(vector[offset : offset + d_out].copy())
-        offset += d_out
-    return MLPParams(tuple(layer_dims), weights, biases)
-
-
-def numerical_gradient(params: MLPParams, X, y, l2_penalty: float = 0.0, h: float = 1e-6):
-    """Central finite differences of the loss over all parameters."""
-    theta = flatten_params(params)
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[i] = h
-        lo, _, _ = loss_and_grads(unflatten_params(theta - bump, params.layer_dims), X, y, l2_penalty)
-        hi, _, _ = loss_and_grads(unflatten_params(theta + bump, params.layer_dims), X, y, l2_penalty)
-        grad[i] = (hi - lo) / (2 * h)
-    return grad
-
-
 def pack_params(params: MLPParams) -> bytes:
     """Little-endian blob: n_layers u16, dims u32..., float64 weights/biases."""
     parts = [struct.pack("<H", len(params.layer_dims))]

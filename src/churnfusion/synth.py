@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import io
 import wave
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from .data_model import (
     serialize_customer_table,
     parse_customer_table,
 )
-from .errors import InvalidConfig, InvalidDuration, SchemaMismatch
+from .errors import BadWav, InvalidConfig, InvalidDuration, SchemaMismatch
 
 SAMPLE_RATE = 16000
 
@@ -58,12 +60,42 @@ class SynthConfig:
             raise InvalidConfig("clip_duration_s must lie in [0.5, 10]")
 
 
+class LazyClips(Mapping):
+    """Read-only audio_ref -> AudioClip map that makes a clip on each lookup.
+
+    Each ref holds a zero-argument maker (a synthesis or a WAV decode); no
+    clip is kept, so a cohort's memory does not grow with clip length and
+    a lookup costs one synthesis or decode. Membership, iteration and
+    length read the ref table only and make no clip.
+    """
+
+    def __init__(self, makers: dict[str, Callable[[], AudioClip]]):
+        self._makers = makers
+
+    def __getitem__(self, ref: str) -> AudioClip:
+        return self._makers[ref]()
+
+    def __contains__(self, ref) -> bool:
+        return ref in self._makers
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._makers)
+
+    def __len__(self) -> int:
+        return len(self._makers)
+
+
 @dataclass(frozen=True)
 class SyntheticCohort:
-    """A table, its clips by audio_ref, and per-row truth in table order."""
+    """A table, its clips by audio_ref, and per-row truth in table order.
+
+    `audio_clips` is any ref -> clip mapping; the cohorts that
+    `generate_cohort` and `read_cohort` return hold a `LazyClips`, so a
+    command that reads no clip synthesizes or decodes none.
+    """
 
     table: CustomerTable
-    audio_clips: dict[str, AudioClip]
+    audio_clips: Mapping[str, AudioClip]
     risk_tier: np.ndarray  # low/mid/high
     true_fl: np.ndarray  # float64, NaN = unknown
 
@@ -179,12 +211,12 @@ def generate_cohort(config: SynthConfig) -> SyntheticCohort:
             label = NEGATIVE_LABELS[int(clip_rng.integers(len(NEGATIVE_LABELS)))]
         else:
             label = POSITIVE_LABELS[int(clip_rng.integers(len(POSITIVE_LABELS)))]
-        clips[ref] = synth_audio(label, config.clip_duration_s, [config.seed, i, 1])
+        clips[ref] = partial(synth_audio, label, config.clip_duration_s, [config.seed, i, 1])
 
     table = CustomerTable(
         TableSchema.with_width(nf), ids, X, np.where(labeled, true_fl, np.nan), churn, refs
     )
-    return SyntheticCohort(table, clips, risk_label, true_fl)
+    return SyntheticCohort(table, LazyClips(clips), risk_label, true_fl)
 
 
 def generate_ser_corpus(
@@ -218,13 +250,21 @@ def clip_to_wav_bytes(clip: AudioClip) -> bytes:
     return buf.getvalue()
 
 
-def wav_bytes_to_clip(blob: bytes) -> AudioClip:
-    with wave.open(io.BytesIO(blob), "rb") as wav:
-        if wav.getnchannels() != 1 or wav.getsampwidth() != 2:
-            raise ValueError("expected 16-bit mono PCM")
-        sr = wav.getframerate()
-        pcm = np.frombuffer(wav.readframes(wav.getnframes()), dtype="<i2")
-    return AudioClip(samples=pcm.astype(np.float64) / 32767.0, sample_rate=sr)
+def wav_bytes_to_clip(blob: bytes, name: str = "WAV data") -> AudioClip:
+    """Decode 16-bit mono PCM; anything else raises BadWav naming `name`."""
+    try:
+        with wave.open(io.BytesIO(blob), "rb") as wav:
+            if wav.getnchannels() != 1 or wav.getsampwidth() != 2:
+                raise ValueError("expected 16-bit mono PCM")
+            sr = wav.getframerate()
+            pcm = np.frombuffer(wav.readframes(wav.getnframes()), dtype="<i2")
+        return AudioClip(samples=pcm.astype(np.float64) / 32767.0, sample_rate=sr)
+    except (EOFError, wave.Error, ValueError) as exc:
+        raise BadWav(f"bad WAV {name}: {str(exc) or 'unexpected end of file'}") from exc
+
+
+def _read_wav(path: Path) -> AudioClip:
+    return wav_bytes_to_clip(path.read_bytes(), str(path))
 
 
 def write_cohort(cohort: SyntheticCohort, out_dir: str | Path) -> None:
@@ -253,7 +293,7 @@ def read_cohort(in_dir: str | Path) -> SyntheticCohort:
     clips = {}
     for line in (src / "manifest.csv").read_text(encoding="utf-8").splitlines()[1:]:
         cid, path = line.split(",", 1)
-        clips[Path(path).name] = wav_bytes_to_clip((src / path).read_bytes())
+        clips[Path(path).name] = partial(_read_wav, src / path)
     tier_of, fl_of = {}, {}
     for line in (src / "ground_truth.csv").read_text(encoding="utf-8").splitlines()[1:]:
         cid, tier, fl = line.split(",")
@@ -265,4 +305,4 @@ def read_cohort(in_dir: str | Path) -> SyntheticCohort:
     # truth rows may come in any order; the cohort holds them in table order
     risk_tier = np.array([tier_of[cid] for cid in table.ids], dtype=str)
     true_fl = np.array([fl_of[cid] for cid in table.ids], dtype=np.float64)
-    return SyntheticCohort(table, clips, risk_tier, true_fl)
+    return SyntheticCohort(table, LazyClips(clips), risk_tier, true_fl)

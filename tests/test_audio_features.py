@@ -14,13 +14,13 @@ from churnfusion.audio_features import (
     Spectrogram,
     build_feature_map,
     hpss_median,
-    mel_band_centers,
     mel_filterbank,
     mel_project,
     stft_magnitude,
 )
 from churnfusion.errors import BadBand, BadFrameParams, BadKernel, ClipTooShort
 from churnfusion.synth import SynthConfig, generate_cohort, generate_ser_corpus
+from reference import mel_band_centers
 
 SR = 16000
 

@@ -1,10 +1,11 @@
 import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from churnfusion import cli, metrics, pipeline
+from churnfusion import cli, metrics, pipeline, synth
 from churnfusion.errors import InvalidConfig, MissingModality
 from churnfusion.synth import SynthConfig, generate_cohort
 
@@ -153,6 +154,12 @@ class TestRunExperiment:
         )
         assert pipeline.evaluate(assigns, split) == expected
 
+    def test_none_strategy_makes_no_clip(self, small_cfg, monkeypatch):
+        made = mock.Mock(wraps=synth.synth_audio)
+        monkeypatch.setattr(synth, "synth_audio", made)
+        pipeline.run_experiment(small_cfg, ("none",))
+        assert made.call_count == 0
+
     def test_compare_over_seeds_shapes(self, small_cfg):
         rows = pipeline.compare_over_seeds(small_cfg, strategies=("none",))
         assert set(rows) == {"none"}
@@ -286,3 +293,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "features.standardize" in err and "true" in err
+
+
+class TestCliAudioOnLookup:
+    @pytest.fixture
+    def fresh(self, tmp_path):
+        config = tmp_path / "config.txt"
+        config.write_text(SMALL_CONFIG, encoding="utf-8")
+        ws = tmp_path / "ws"
+        assert run_cli(["gen"], ws, config) == 0
+        return ws, config
+
+    def test_tabular_commands_decode_no_wav(self, fresh, small_cfg, monkeypatch, capsys):
+        ws, config = fresh
+        decoded = mock.Mock(wraps=synth.wav_bytes_to_clip)
+        monkeypatch.setattr(synth, "wav_bytes_to_clip", decoded)
+        for args in (["train", "fl"], ["train", "churn"], ["evaluate", "none"]):
+            assert run_cli(args, ws, config) == 0
+        assert decoded.call_count == 0
+        assert run_cli(["train", "ser"], ws, config) == 0
+        assert run_cli(["evaluate", "late"], ws, config) == 0
+        capsys.readouterr()
+        # late fusion reads each test-side clip once
+        n_test = round(small_cfg.test_fraction * small_cfg.synth.n_customers)
+        assert decoded.call_count == n_test
+
+    def test_corrupt_wav_fails_only_commands_that_read_it(self, fresh, small_cfg, capsys):
+        ws, config = fresh
+        table = generate_cohort(small_cfg.synth).table
+        _, test, _ = pipeline.split_table(table, small_cfg.test_fraction, small_cfg.seed)
+        bad = ws / "data" / "audio" / f"{test.ids[0]}.wav"
+        bad.write_bytes(b"RIFF")  # a WAV cut off after four bytes
+        for args in (["train", "fl"], ["train", "churn"], ["evaluate", "none"], ["train", "ser"]):
+            assert run_cli(args, ws, config) == 0
+        capsys.readouterr()
+        assert run_cli(["evaluate", "late"], ws, config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad WAV ")
+        assert str(bad) in err
+        assert not (ws / "reports" / "report_late.txt").exists()

@@ -1,11 +1,16 @@
 import dataclasses
+import io
+import tracemalloc
+import wave
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from churnfusion import synth
 from churnfusion.audio_features import hpss_median, stft_magnitude
 from churnfusion.data_model import NEGATIVE_LABELS, TableSchema, serialize_customer_table
-from churnfusion.errors import InvalidConfig, InvalidDuration, SchemaMismatch
+from churnfusion.errors import BadWav, InvalidConfig, InvalidDuration, SchemaMismatch
 from churnfusion.synth import (
     SynthConfig,
     SyntheticCohort,
@@ -196,3 +201,75 @@ class TestCohortIO:
             SyntheticCohort(cohort.table, cohort.audio_clips, cohort.risk_tier[:4], cohort.true_fl)
         with pytest.raises(SchemaMismatch, match="true_fl"):
             SyntheticCohort(cohort.table, cohort.audio_clips, cohort.risk_tier, np.zeros((5, 1)))
+
+
+class TestClipsOnLookup:
+    def test_generate_makes_no_clip_and_write_makes_each_once(self, tmp_path, monkeypatch):
+        made = mock.Mock(wraps=synth.synth_audio)
+        monkeypatch.setattr(synth, "synth_audio", made)
+        cohort = generate_cohort(SynthConfig(n_customers=25, seed=4))
+        assert list(cohort.audio_clips) == list(cohort.table.audio_ref)
+        assert len(cohort.audio_clips) == 25
+        assert all(ref in cohort.audio_clips for ref in cohort.table.audio_ref)
+        assert "c99999.wav" not in cohort.audio_clips
+        assert made.call_count == 0
+        write_cohort(cohort, tmp_path)
+        assert made.call_count == 25
+
+    def test_each_lookup_makes_a_fresh_equal_clip(self, monkeypatch):
+        made = mock.Mock(wraps=synth.synth_audio)
+        monkeypatch.setattr(synth, "synth_audio", made)
+        clips = generate_cohort(SynthConfig(n_customers=3, seed=4)).audio_clips
+        first, again = clips["c00001.wav"], clips["c00001.wav"]
+        assert made.call_count == 2  # nothing is cached
+        assert first is not again
+        assert np.array_equal(first.samples, again.samples)
+        with pytest.raises(KeyError):
+            clips["c00003.wav"]
+        with pytest.raises(TypeError):
+            clips["c00001.wav"] = first
+
+    def test_read_decodes_only_looked_up_clips(self, tmp_path, monkeypatch):
+        cohort = generate_cohort(SynthConfig(n_customers=8, seed=6))
+        write_cohort(cohort, tmp_path)
+        decoded = mock.Mock(wraps=synth.wav_bytes_to_clip)
+        monkeypatch.setattr(synth, "wav_bytes_to_clip", decoded)
+        again = read_cohort(tmp_path)
+        assert set(again.audio_clips) == set(cohort.audio_clips)
+        assert decoded.call_count == 0
+        clip = again.audio_clips["c00005.wav"]
+        assert decoded.call_count == 1
+        expected = wav_bytes_to_clip(clip_to_wav_bytes(cohort.audio_clips["c00005.wav"]))
+        assert np.array_equal(clip.samples, expected.samples)
+
+    @pytest.mark.parametrize("duration", [0.5, 2.0])
+    def test_generate_and_write_peak_does_not_grow_with_clip_length(self, tmp_path, duration):
+        # holding every clip would need 300 x 8000 x 8 B = 19 MB at 0.5 s, 77 MB at 2 s
+        cfg = SynthConfig(n_customers=300, clip_duration_s=duration, seed=1)
+        tracemalloc.start()
+        try:
+            write_cohort(generate_cohort(cfg), tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def _wav(channels=1, width=2, frames=b"\x00\x01" * 2000):
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as w:
+        w.setnchannels(channels)
+        w.setsampwidth(width)
+        w.setframerate(16000)
+        w.writeframes(frames)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [b"RIFF", b"", b"not a wav file at all", _wav(channels=2), _wav(width=1), _wav(frames=b"")],
+    ids=["truncated", "empty", "not-riff", "stereo", "8-bit", "no-frames"],
+)
+def test_undecodable_wav_raises_bad_wav_naming_it(blob):
+    with pytest.raises(BadWav, match="bad WAV audio/c00003.wav: "):
+        wav_bytes_to_clip(blob, "audio/c00003.wav")
