@@ -14,9 +14,11 @@ import numpy as np
 
 from . import mlp
 from .errors import BadK, DimensionMismatch, MissingModality, SingleClass, TooFewMinority
+from .neighbors import nearest
 
 MAGIC = b"CHRN"
 VERSION = 1
+HIDDEN_DIMS = (32, 32)
 
 
 @dataclass
@@ -95,10 +97,7 @@ def smote_oversample(
         raise TooFewMinority(f"minority class needs >= {k + 1} members, has {min_idx.size}")
 
     Xm = X[min_idx]
-    diff = Xm[:, None, :] - Xm[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    neighbors, _ = nearest(Xm, Xm, k, exclude=np.arange(min_idx.size))
 
     rng = np.random.default_rng(seed)
     synth = np.empty((deficit, X.shape[1]))
@@ -122,7 +121,6 @@ def train_churn(
     rfe_k: int,
     smote: SmoteParams = SmoteParams(),
     hyper: mlp.TrainConfig = mlp.TrainConfig(),
-    hidden_dims: tuple[int, ...] = (32, 32),
 ) -> ChurnModel:
     """RFE -> normalize -> SMOTE -> MLP, deterministic per seed."""
     X = np.asarray(X, dtype=np.float64)
@@ -139,7 +137,7 @@ def train_churn(
     normed = (sub - mean) / std
 
     X_bal, y_bal = smote_oversample(normed, y, smote.ratio, smote.k, hyper.seed)
-    params, final_loss = mlp.train(X_bal, y_bal, hidden_dims, hyper)
+    params, final_loss = mlp.train(X_bal, y_bal, HIDDEN_DIMS, hyper)
     acc = float(np.mean((mlp.forward(params, X_bal) >= 0.5).astype(int) == y_bal))
     return ChurnModel(
         selected_features=tuple(selected),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import struct
 import sys
 from pathlib import Path
 
@@ -89,7 +90,10 @@ def _stored_model(model_dir: Path, split: pipeline.Split, name: str):
     path = model_dir / f"{name}.bin"
     if not path.exists():
         raise MissingModality(f"missing {name} model at {path}; run 'train {name}'")
-    return BLOBS[name][1](path.read_bytes())
+    try:
+        return BLOBS[name][1](path.read_bytes())
+    except (struct.error, ValueError) as exc:  # a cut or foreign blob
+        raise ValueError(f"unreadable {name} model at {path}: {exc}") from exc
 
 
 def cmd_train(args) -> int:
@@ -99,7 +103,7 @@ def cmd_train(args) -> int:
     split = pipeline.Split(cohort, cfg, pipeline.train_model)
     model = split.model(args.modality)
     if args.modality == "fl":
-        # coreg_train refuses an empty labelled set, so `known` selects at least one row
+        # coreg_train refuses fewer than two labelled rows, so `known` selects at least two
         known = ~np.isnan(split.train.fl_label)
         pred = flm.predict_fl_batch(model, split.train.features[known])
         rmse = float(np.sqrt(np.mean((pred - split.train.fl_label[known]) ** 2)))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyLabeledSet, TargetOutOfRange, TooFewExamples
+from .neighbors import nearest
 
 MAGIC = b"FLKN"
 VERSION = 1
@@ -59,14 +60,6 @@ class CoregConfig:
             raise ValueError("iteration, pool, and batch sizes must be >= 1")
 
 
-def _minkowski(queries: np.ndarray, points: np.ndarray, p: float) -> np.ndarray:
-    """Pairwise distances, shape [n_queries, n_points]."""
-    diff = np.abs(queries[:, None, :] - points[None, :, :])
-    if p == 2.0:
-        return np.sqrt((diff**2).sum(axis=2))
-    return (diff**p).sum(axis=2) ** (1.0 / p)
-
-
 @dataclass
 class KNNRegressor:
     """Brute-force k-NN mean with Minkowski metric; ties go to lower index."""
@@ -88,9 +81,7 @@ class KNNRegressor:
             raise DimensionMismatch(
                 f"query width {queries.shape[1]} != training width {self.X.shape[1]}"
             )
-        dist = _minkowski(queries, self.X, self.p)
-        k = min(self.k, self.X.shape[0])
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        order, _ = nearest(queries, self.X, self.k, self.p)
         return self.y[order].mean(axis=1)
 
 
@@ -127,26 +118,23 @@ def smogn_resample(
     if np.any(y < 0) or np.any(y > 1):
         raise TargetOutOfRange("targets must lie in [0, 1]")
 
-    rel = relevance_scores(y)
-    rare_idx = np.flatnonzero(rel > cfg.relevance_threshold)
+    rare = relevance_scores(y) > cfg.relevance_threshold
+    rare_idx = np.flatnonzero(rare)
     out = [(X[i].copy(), float(y[i])) for i in range(len(labeled))]
     if rare_idx.size == 0:
         return out
 
     rng = np.random.default_rng(cfg.seed)
     n_synth = int(np.ceil(cfg.oversample_ratio * rare_idx.size))
-    dist = _minkowski(X[rare_idx], X, 2.0)
+    neighbors, _ = nearest(X[rare_idx], X, cfg.k_neighbors, exclude=rare_idx)
     feature_std = X.std(axis=0)
-    rare_set = set(int(i) for i in rare_idx)
 
     for s in range(n_synth):
-        a = int(rare_idx[s % rare_idx.size])
-        row = int(np.flatnonzero(rare_idx == a)[0])
-        order = np.argsort(dist[row], kind="stable")
-        neighbors = [int(j) for j in order if j != a][: cfg.k_neighbors]
-        rare_neighbors = [j for j in neighbors if j in rare_set]
-        if rare_neighbors:
-            b = int(rare_neighbors[rng.integers(len(rare_neighbors))])
+        row = s % rare_idx.size
+        a = int(rare_idx[row])
+        rare_neighbors = neighbors[row][rare[neighbors[row]]]
+        if rare_neighbors.size:
+            b = int(rare_neighbors[rng.integers(rare_neighbors.size)])
             t = rng.random()
             feats = X[a] + t * (X[b] - X[a])
             target = (1.0 - t) * y[a] + t * y[b]
@@ -155,18 +143,6 @@ def smogn_resample(
             target = y[a]
         out.append((feats, float(np.clip(target, 0.0, 1.0))))
     return out
-
-
-def _loo_cache(X: np.ndarray, y: np.ndarray, k: int, p: float):
-    """Per-point k nearest neighbors (self excluded) and leave-one-out means."""
-    m = X.shape[0]
-    dist = _minkowski(X, X, p)
-    np.fill_diagonal(dist, np.inf)
-    k_eff = min(k, m - 1)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k_eff]
-    nb_dist = np.take_along_axis(dist, order, axis=1)
-    nb_targ = y[order]
-    return nb_dist, nb_targ, nb_targ.mean(axis=1)
 
 
 def coreg_train(
@@ -187,13 +163,12 @@ def coreg_train(
     if not labeled:
         raise EmptyLabeledSet("co-training needs at least one labeled example")
     base = smogn_resample(labeled, smogn) if smogn is not None else list(labeled)
+    if len(base) < 2:
+        raise TooFewExamples(f"co-training needs >= 2 labeled examples, got {len(base)}")
 
     X0 = np.array([np.asarray(f, dtype=np.float64) for f, _ in base])
     y0 = np.array([t for _, t in base], dtype=np.float64)
-    sets = [
-        {"X": X0.copy(), "y": y0.copy(), "k": cfg.k1, "p": cfg.p1},
-        {"X": X0.copy(), "y": y0.copy(), "k": cfg.k2, "p": cfg.p2},
-    ]
+    learners = [KNNRegressor(X0, y0, cfg.k1, cfg.p1), KNNRegressor(X0, y0, cfg.k2, cfg.p2)]
     pool = [np.asarray(f, dtype=np.float64) for f in unlabeled]
     remaining = list(range(len(pool)))
     rng = np.random.default_rng(cfg.seed)
@@ -204,11 +179,14 @@ def coreg_train(
         for selector in (0, 1):
             if not remaining:
                 break
-            peer = sets[1 - selector]
-            own = sets[selector]
-            own_model = KNNRegressor(own["X"], own["y"], own["k"], own["p"])
-            nb_dist, nb_targ, loo_pred = _loo_cache(peer["X"], peer["y"], peer["k"], peer["p"])
-            loo_err = (peer["y"] - loo_pred) ** 2
+            own, peer = learners[selector], learners[1 - selector]
+            # leave-one-out: each peer point's k nearest other peer points
+            loo_near, nb_dist = nearest(
+                peer.X, peer.X, peer.k, peer.p, exclude=np.arange(peer.y.size)
+            )
+            nb_targ = peer.y[loo_near]
+            loo_pred = nb_targ.mean(axis=1)
+            loo_err = (peer.y - loo_pred) ** 2
             k_eff = nb_dist.shape[1]
 
             pool_idx = rng.choice(
@@ -216,24 +194,22 @@ def coreg_train(
             )
             candidates = [remaining[int(i)] for i in pool_idx]
             cand_X = np.array([pool[i] for i in candidates])
-            pseudo = own_model.predict(cand_X)
-            dists = _minkowski(cand_X, peer["X"], peer["p"])
-
+            pseudo = own.predict(cand_X)
             # each candidate touches the k peer points nearest to it
-            near = np.argsort(dists, axis=1, kind="stable")[:, :k_eff]
+            near, near_dist = nearest(cand_X, peer.X, k_eff, peer.p)
             # the new point replaces the farthest of the k current neighbors
             # when strictly closer; ties keep the incumbent
-            closer = np.take_along_axis(dists, near, axis=1) < nb_dist[near, -1]
+            closer = near_dist < nb_dist[near, -1]
             new_pred = loo_pred[near] + (pseudo[:, None] - nb_targ[near, -1]) / k_eff
-            delta = loo_err[near] - (peer["y"][near] - new_pred) ** 2
+            delta = loo_err[near] - (peer.y[near] - new_pred) ** 2
             gains = np.where(closer, delta, 0.0).sum(axis=1)
 
             for c in np.argsort(-gains, kind="stable")[: cfg.batch_per_iter]:
                 if gains[c] <= 0.0:
                     break
                 u = candidates[int(c)]
-                peer["X"] = np.vstack([peer["X"], pool[u][None, :]])
-                peer["y"] = np.append(peer["y"], pseudo[int(c)])
+                peer.X = np.vstack([peer.X, pool[u][None, :]])
+                peer.y = np.append(peer.y, pseudo[int(c)])
                 remaining.remove(u)
                 transcript.append(
                     (iteration, selector, u, float(pseudo[int(c)]), float(gains[c]))
@@ -242,11 +218,7 @@ def coreg_train(
         if not accepted_any:
             break
 
-    return FLModel(
-        learner1=KNNRegressor(sets[0]["X"], sets[0]["y"], cfg.k1, cfg.p1),
-        learner2=KNNRegressor(sets[1]["X"], sets[1]["y"], cfg.k2, cfg.p2),
-        transcript=transcript,
-    )
+    return FLModel(*learners, transcript=transcript)
 
 
 def predict_fl_batch(model: FLModel, X: np.ndarray) -> np.ndarray:

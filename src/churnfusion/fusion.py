@@ -23,7 +23,7 @@ import numpy as np
 from . import churn_model as cm
 from . import fl_model as fl
 from .data_model import CustomerTable
-from .errors import InvalidTriple, MissingModality, SchemaMismatch
+from .errors import InvalidTriple, MissingModality
 from .mlp import TrainConfig
 
 
@@ -152,8 +152,6 @@ def run_hybrid_fusion(
     cfg: TranslationConfig = TranslationConfig(),
 ) -> Assignments:
     """Stage-2 hybrid fusion: score with the augmented churn model, then fuse."""
-    if max(hybrid_churn.selected_features) >= table.schema.width + 2:
-        raise SchemaMismatch("churn model expects wider input than the augmented table")
     return _score(table, fl_model, hybrid_churn, emotions, cfg, augmented=True)
 
 

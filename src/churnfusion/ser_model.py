@@ -18,6 +18,7 @@ from .errors import DegenerateData, ShapeMismatch
 
 MAGIC = b"SERM"
 VERSION = 1
+HIDDEN_DIMS = (32,)
 
 
 @dataclass
@@ -39,7 +40,6 @@ def train_emotion(
     maps: list[FeatureMap],
     labels: list[int],
     hyper: mlp.TrainConfig = mlp.TrainConfig(),
-    hidden_dims: tuple[int, ...] = (32,),
 ) -> EmotionModel:
     """Fit on flattened maps by seeded mini-batch gradient descent."""
     if not maps:
@@ -52,7 +52,7 @@ def train_emotion(
         raise ShapeMismatch("one label per feature map required")
     if np.sum(y == 0) < 2 or np.sum(y == 1) < 2:
         raise DegenerateData("need >= 2 examples per class")
-    params, final_loss = mlp.train(_flatten(maps), y, hidden_dims, hyper)
+    params, final_loss = mlp.train(_flatten(maps), y, HIDDEN_DIMS, hyper)
     return EmotionModel(params=params, n_mels=n_mels, final_loss=final_loss)
 
 

@@ -1,7 +1,8 @@
 """Reference computations that only the tests use.
 
-Finite-difference gradients check `mlp.loss_and_grads`, and Mel band
-centres check where `mel_project` puts a pure tone.
+Finite-difference gradients check `mlp.loss_and_grads`, Mel band centres
+check where `mel_project` puts a pure tone, and a one-query-at-a-time sort
+checks `neighbors.nearest`.
 """
 
 import numpy as np
@@ -41,3 +42,15 @@ def numerical_gradient(params: MLPParams, X, y, l2_penalty: float = 0.0, h: floa
 def mel_band_centers(n_mels: int, f_min: float, f_max: float) -> np.ndarray:
     edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
     return edges[1:-1]
+
+
+def nearest_reference(queries, points, k: int, p: float, exclude=None):
+    """Per query, the first k points other than exclude[i] in (distance, index) order."""
+    indices, distances = [], []
+    for i, q in enumerate(queries):
+        dist = [float(np.sum(np.abs(q - x) ** p) ** (1.0 / p)) for x in points]
+        allowed = [j for j in range(len(points)) if exclude is None or j != exclude[i]]
+        order = sorted(allowed, key=lambda j: (dist[j], j))[:k]
+        indices.append(order)
+        distances.append([dist[j] for j in order])
+    return np.array(indices), np.array(distances)

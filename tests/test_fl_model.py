@@ -196,6 +196,11 @@ class TestCoreg:
         with pytest.raises(EmptyLabeledSet):
             flm.coreg_train([], [np.zeros(2)])
 
+    def test_single_labeled_row_rejected(self):
+        # one row leaves no neighbor for the leave-one-out error
+        with pytest.raises(TooFewExamples, match="got 1"):
+            flm.coreg_train([(np.zeros(2), 0.5)], [np.ones(2)], smogn=None)
+
     def test_pseudo_labels_help_on_coupled_cohort(self):
         rmse_coreg, rmse_baseline = [], []
         for seed in range(6):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -232,6 +233,19 @@ class TestCli:
             assert run_cli(["evaluate", strategy], ws2, config) == 0
         capsys.readouterr()
         assert file_hashes(ws2) == file_hashes(ws)
+
+    @pytest.mark.parametrize("name", ["fl", "ser", "churn"])
+    @pytest.mark.parametrize("size", [5, 40])
+    def test_truncated_model_fails_naming_it(self, cli_workspace, tmp_path, capsys, name, size):
+        ws, config = cli_workspace
+        cut = tmp_path / "cut"
+        for part in ("data", "models"):
+            shutil.copytree(ws / part, cut / part)
+        blob = cut / "models" / f"{name}.bin"
+        blob.write_bytes(blob.read_bytes()[:size])
+        assert run_cli(["evaluate", "late"], cut, config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blob) in err
 
     def test_train_ser_without_manifest_fails(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
