@@ -19,5 +19,6 @@ def nearest(
     if exclude is not None:
         dist[np.arange(len(queries)), exclude] = np.inf
     k = min(k, points.shape[0] - (exclude is not None))
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    # a copy, so the indices kept by a caller do not pin the full [n, m] sort
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k].copy()
     return order, np.take_along_axis(dist, order, axis=1)
