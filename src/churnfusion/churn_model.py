@@ -185,5 +185,7 @@ def load_churn_model(blob: bytes) -> ChurnModel:
     offset += 8 * n_sel
     std = np.frombuffer(blob, dtype="<f8", count=n_sel, offset=offset).copy()
     offset += 8 * n_sel
-    params, _ = mlp.unpack_params(blob, offset)
+    params, end = mlp.unpack_params(blob, offset)
+    if end != len(blob):
+        raise ValueError(f"{len(blob) - end} bytes past the end of the model")
     return ChurnModel(selected_features=selected, params=params, norm_mean=mean, norm_std=std)

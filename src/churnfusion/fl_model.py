@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyLabeledSet, TargetOutOfRange, TooFewExamples
-from .neighbors import nearest
+from .neighbors import join_leave_one_out, nearest
 
 MAGIC = b"FLKN"
 VERSION = 1
@@ -171,6 +171,9 @@ def coreg_train(
     learners = [KNNRegressor(X0, y0, cfg.k1, cfg.p1), KNNRegressor(X0, y0, cfg.k2, cfg.p2)]
     pool = [np.asarray(f, dtype=np.float64) for f in unlabeled]
     remaining = list(range(len(pool)))
+    # leave-one-out: each learner point's k nearest other points of that
+    # learner, kept current from one distance row as each point joins it
+    loo = [nearest(X0, X0, lrn.k, lrn.p, exclude=np.arange(y0.size)) for lrn in learners]
     rng = np.random.default_rng(cfg.seed)
     transcript: list[tuple[int, int, int, float, float]] = []
 
@@ -180,10 +183,7 @@ def coreg_train(
             if not remaining:
                 break
             own, peer = learners[selector], learners[1 - selector]
-            # leave-one-out: each peer point's k nearest other peer points
-            loo_near, nb_dist = nearest(
-                peer.X, peer.X, peer.k, peer.p, exclude=np.arange(peer.y.size)
-            )
+            loo_near, nb_dist = loo[1 - selector]
             nb_targ = peer.y[loo_near]
             loo_pred = nb_targ.mean(axis=1)
             loo_err = (peer.y - loo_pred) ** 2
@@ -208,6 +208,9 @@ def coreg_train(
                 if gains[c] <= 0.0:
                     break
                 u = candidates[int(c)]
+                loo[1 - selector] = join_leave_one_out(
+                    *loo[1 - selector], peer.X, pool[u], peer.k, peer.p
+                )
                 peer.X = np.vstack([peer.X, pool[u][None, :]])
                 peer.y = np.append(peer.y, pseudo[int(c)])
                 remaining.remove(u)
@@ -262,5 +265,7 @@ def load_fl_model(blob: bytes) -> FLModel:
     if version != VERSION:
         raise ValueError(f"unsupported model version {version}")
     learner1, offset = _unpack_learner(blob, 6)
-    learner2, _ = _unpack_learner(blob, offset)
+    learner2, end = _unpack_learner(blob, offset)
+    if end != len(blob):
+        raise ValueError(f"{len(blob) - end} bytes past the end of the model")
     return FLModel(learner1=learner1, learner2=learner2)

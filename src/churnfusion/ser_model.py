@@ -80,5 +80,7 @@ def load_emotion_model(blob: bytes) -> EmotionModel:
     version, n_mels = struct.unpack_from("<HI", blob, 4)
     if version != VERSION:
         raise ValueError(f"unsupported model version {version}")
-    params, _ = mlp.unpack_params(blob, 4 + struct.calcsize("<HI"))
+    params, end = mlp.unpack_params(blob, 4 + struct.calcsize("<HI"))
+    if end != len(blob):
+        raise ValueError(f"{len(blob) - end} bytes past the end of the model")
     return EmotionModel(params=params, n_mels=n_mels)

@@ -192,6 +192,34 @@ class TestCoreg:
         for _, _, _, _, gain in model.transcript:
             assert gain > 0
 
+    def test_leave_one_out_lists_follow_every_join(self, monkeypatch):
+        # two labeled rows and k = 3: the peer lists grow before they shift
+        joined = []
+
+        def assert_fresh(lists, X, k, p):
+            near, near_dist = flm.nearest(X, X, k, p, exclude=np.arange(len(X)))
+            assert np.array_equal(lists[0], near) and np.array_equal(lists[1], near_dist)
+
+        def checked_join(near, near_dist, points, new, k, p):
+            assert_fresh((near, near_dist), points, k, p)
+            out = real_join(near, near_dist, points, new, k, p)
+            assert_fresh(out, np.vstack([points, new]), k, p)
+            joined.append(len(points))
+            return out
+
+        real_join = flm.join_leave_one_out
+        monkeypatch.setattr(flm, "join_leave_one_out", checked_join)
+        rng = np.random.default_rng(12)
+        X = rng.integers(-2, 3, size=(2, 2)).astype(float)
+        unlabeled = list(rng.integers(-2, 3, size=(40, 2)).astype(float))
+        model = flm.coreg_train(
+            [(X[0], 0.2), (X[1], 0.9)],
+            unlabeled,
+            smogn=None,
+            cfg=flm.CoregConfig(max_iterations=10, pool_size=10, batch_per_iter=2, seed=1),
+        )
+        assert len(joined) == len(model.transcript) and min(joined) < 3
+
     def test_empty_labeled_set_rejected(self):
         with pytest.raises(EmptyLabeledSet):
             flm.coreg_train([], [np.zeros(2)])

@@ -247,6 +247,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(blob) in err
 
+    @pytest.mark.parametrize("name", ["fl", "ser", "churn"])
+    def test_model_with_trailing_bytes_fails_naming_it(self, cli_workspace, tmp_path, capsys, name):
+        ws, config = cli_workspace
+        padded = tmp_path / "padded"
+        for part in ("data", "models"):
+            shutil.copytree(ws / part, padded / part)
+        blob = padded / "models" / f"{name}.bin"
+        blob.write_bytes(blob.read_bytes() + b"junk1234")
+        assert run_cli(["evaluate", "late"], padded, config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blob) in err and "8 bytes past the end" in err
+
     def test_train_ser_without_manifest_fails(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
         config.write_text(SMALL_CONFIG, encoding="utf-8")

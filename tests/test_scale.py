@@ -1,0 +1,51 @@
+"""The k-NN paths hold memory linear in n, up to n=20,000 customers.
+
+A search that builds the full [n_queries, n_points, d] difference array
+peaks at 64-308 MB in these calls at n=4000 and would need ~7.7 GB at
+n=20,000, so n=4000 runs first under the same ceiling.
+"""
+
+import tracemalloc
+
+from churnfusion import churn_model as cm
+from churnfusion import fl_model as flm
+from churnfusion import pipeline, synth
+
+CEILING_MB = 16.0
+
+
+def traced_peak_mb(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_knn_paths_stay_under_a_fixed_memory_ceiling():
+    for n in (4000, 20000):
+        cfg = pipeline.with_seed(
+            pipeline.RunConfig(
+                synth=synth.SynthConfig(n_customers=n, coupling=0.9, clip_duration_s=0.5)
+            ),
+            0,
+        )
+        train, _, _ = pipeline.split_table(
+            synth.generate_cohort(cfg.synth).table, cfg.test_fraction, cfg.seed
+        )
+        model = []
+        peaks = {
+            "train_fl": traced_peak_mb(lambda: model.append(pipeline.train_fl(train, cfg))),
+            # all 12 columns; inside train_churn SMOTE sees the ones RFE keeps
+            "smote_oversample": traced_peak_mb(
+                lambda: cm.smote_oversample(
+                    train.features, train.churn_outcome, cfg.smote.ratio, cfg.smote.k
+                )
+            ),
+            # the hybrid strategy scores the training side with the FL model
+            "predict_fl_batch": traced_peak_mb(
+                lambda: flm.predict_fl_batch(model[0], train.features)
+            ),
+        }
+        assert max(peaks.values()) < CEILING_MB, (n, peaks)
