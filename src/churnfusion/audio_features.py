@@ -3,19 +3,28 @@
 Magnitude spectrogram, median-filter harmonic/percussive separation with
 complementary soft masks, Mel-filterbank projection, and a compact
 [3 x n_mels] feature map (harmonic / percussive / overall mean log-Mel).
+`build_feature_maps` maps many clips on every CPU the process may use.
 """
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
+import os
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+# Loaded with this module: forked map helpers inherit it, and numpy's BLAS
+# with the thread setting that the Mel projection's bytes depend on.
 from scipy.ndimage import median_filter
 
 from .errors import BadBand, BadFrameParams, BadKernel, ClipTooShort
 
 EPS = 1e-10
+CHUNK_CLIPS = 8  # clips per batch that one process maps
 
 
 @dataclass(frozen=True)
@@ -221,3 +230,77 @@ def build_feature_map(clip: AudioClip, params: FeatureParams = FeatureParams()) 
         std = image.std(axis=1, keepdims=True)
         image = (image - mean) / np.maximum(std, EPS)
     return FeatureMap(image)
+
+
+def _map_chunk(clips: list[AudioClip], params: FeatureParams) -> list[FeatureMap]:
+    return [build_feature_map(clip, params) for clip in clips]
+
+
+def _take(clips, n: int):
+    """The next n clips (fewer at the end), and the error that cut them short, if any."""
+    chunk = []
+    try:
+        chunk.extend(itertools.islice(clips, n))
+    except Exception as exc:  # making a clip failed, e.g. an unreadable WAV
+        return chunk, exc
+    return chunk, None
+
+
+def _result(done) -> list[FeatureMap]:
+    """A chunk's maps: mapped by the caller, or awaited from a helper."""
+    return done if isinstance(done, list) else done.get()
+
+
+def _threads() -> int:
+    """OS threads in this process, a BLAS library's workers included."""
+    return len(os.listdir("/proc/self/task"))
+
+
+def build_feature_maps(clips, params: FeatureParams = FeatureParams()) -> list[FeatureMap]:
+    """`[build_feature_map(clip, params) for clip in clips]`, on every usable CPU.
+
+    The maps come back in order and bit for bit as the serial loop makes
+    them, and the error raised is the one the serial loop would meet first.
+    The caller makes each clip and cuts them into chunks of CHUNK_CLIPS. It
+    forks h helpers, one per usable CPU beyond its own; they map all but
+    every (h+1)-th chunk, which the caller maps itself. At most 2(h+1)
+    chunks are in flight, so memory does not grow with the number of clips.
+    The pool lives for one call, and every helper is reaped before the call
+    returns or raises. Helpers are forked, not spawned: they start at once,
+    and they inherit the BLAS thread setting the maps' bytes depend on.
+
+    The serial loop runs instead when there is one usable CPU, fewer clips
+    than one chunk, or another thread in the process. Forking a threaded
+    process is unsafe, and a multi-threaded BLAS keeps its workers spinning
+    on the other CPUs, where they would slow the helpers down.
+    """
+    helpers = len(os.sched_getaffinity(0)) - 1 if _threads() == 1 else 0
+    if not helpers:
+        return [build_feature_map(clip, params) for clip in clips]
+    clips = iter(clips)
+    chunk, failed = _take(clips, CHUNK_CLIPS)
+    if len(chunk) < CHUNK_CLIPS:  # too few clips to share
+        maps = _map_chunk(chunk, params)
+        if failed:
+            raise failed
+        return maps
+    maps, pending = [], deque()
+    with multiprocessing.get_context("fork").Pool(helpers) as pool:
+        for turn in itertools.count():
+            if turn % (helpers + 1) == helpers:
+                try:
+                    pending.append(_map_chunk(chunk, params))
+                except Exception as exc:  # raised once the chunks before it are in
+                    failed = exc
+            elif chunk:
+                pending.append(pool.apply_async(_map_chunk, (chunk, params)))
+            if failed or len(chunk) < CHUNK_CLIPS:
+                break
+            while len(pending) >= 2 * (helpers + 1):
+                maps += _result(pending.popleft())
+            chunk, failed = _take(clips, CHUNK_CLIPS)
+        for done in pending:
+            maps += _result(done)
+    if failed:
+        raise failed
+    return maps

@@ -59,12 +59,9 @@ class MLPParams:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def init_params(layer_dims, seed: int) -> MLPParams:
@@ -96,24 +93,16 @@ def forward(params: MLPParams, X: np.ndarray) -> np.ndarray:
     return sigmoid(z[:, 0])
 
 
-def loss_and_grads(params: MLPParams, X: np.ndarray, y: np.ndarray, l2_penalty: float = 0.0):
-    """Mean cross-entropy plus L2 penalty, with analytic gradients."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).ravel()
+def _backward(params: MLPParams, X: np.ndarray, y: np.ndarray, l2_penalty: float):
+    """Output logits and the analytic gradients of the penalised mean cross-entropy."""
     n = X.shape[0]
-
     activations = [X]
     a = X
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         a = np.maximum(0.0, a @ w + b)
         activations.append(a)
-    z = a @ params.weights[-1] + params.biases[-1]
-    p = sigmoid(z[:, 0])
-
-    # log-loss via logaddexp keeps saturated probabilities finite
-    zf = z[:, 0]
-    ce = np.mean(np.logaddexp(0.0, zf) - y * zf)
-    loss = ce + 0.5 * l2_penalty * sum(float(np.sum(w**2)) for w in params.weights)
+    z = (a @ params.weights[-1] + params.biases[-1])[:, 0]
+    p = sigmoid(z)
 
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
@@ -123,6 +112,17 @@ def loss_and_grads(params: MLPParams, X: np.ndarray, y: np.ndarray, l2_penalty: 
         grads_b[layer] = delta.sum(axis=0)
         if layer > 0:
             delta = (delta @ params.weights[layer].T) * (activations[layer] > 0)
+    return z, grads_w, grads_b
+
+
+def loss_and_grads(params: MLPParams, X: np.ndarray, y: np.ndarray, l2_penalty: float = 0.0):
+    """Mean cross-entropy plus L2 penalty, with analytic gradients."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64).ravel()
+    z, grads_w, grads_b = _backward(params, X, y, l2_penalty)
+    # log-loss via logaddexp keeps saturated probabilities finite
+    ce = np.mean(np.logaddexp(0.0, z) - y * z)
+    loss = ce + 0.5 * l2_penalty * sum(float(np.sum(w**2)) for w in params.weights)
     return loss, grads_w, grads_b
 
 
@@ -138,9 +138,10 @@ def train(
     n = X.shape[0]
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        X_epoch, y_epoch = X[order], y[order]
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            _, gw, gb = loss_and_grads(params, X[batch], y[batch], cfg.l2_penalty)
+            stop = start + cfg.batch_size
+            _, gw, gb = _backward(params, X_epoch[start:stop], y_epoch[start:stop], cfg.l2_penalty)
             for layer in range(len(params.weights)):
                 params.weights[layer] -= cfg.learning_rate * gw[layer]
                 params.biases[layer] -= cfg.learning_rate * gb[layer]

@@ -23,7 +23,7 @@ from . import fusion
 from . import metrics
 from . import ser_model as serm
 from . import synth
-from .audio_features import FeatureParams, build_feature_map
+from .audio_features import FeatureParams, build_feature_maps
 from .data_model import CustomerTable
 from .errors import InvalidConfig, MissingModality
 from .mlp import TrainConfig
@@ -149,7 +149,7 @@ def train_ser(cfg: RunConfig) -> serm.EmotionModel:
     clips, labels = synth.generate_ser_corpus(
         cfg.ser_corpus_per_class, cfg.synth.clip_duration_s, cfg.seed + 5
     )
-    maps = [build_feature_map(c, cfg.features) for c in clips]
+    maps = build_feature_maps(clips, cfg.features)
     return serm.train_emotion(maps, labels, cfg.ser_train)
 
 
@@ -165,7 +165,7 @@ def compute_emotions(table, clips, ser, cfg: RunConfig) -> np.ndarray:
     missing = [cid for cid, ref in zip(table.ids, table.audio_ref) if ref not in clips]
     if missing:
         raise MissingModality(f"{len(missing)} customers have no audio clip, first {missing[0]!r}")
-    maps = (build_feature_map(clips[ref], cfg.features) for ref in table.audio_ref)
+    maps = build_feature_maps((clips[ref] for ref in table.audio_ref), cfg.features)
     return np.array([serm.predict_emotion(ser, m) for m in maps], dtype=int)
 
 

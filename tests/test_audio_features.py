@@ -1,4 +1,7 @@
 import hashlib
+import multiprocessing
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from churnfusion.audio_features import (
     mel_project,
     stft_magnitude,
 )
-from churnfusion.errors import BadBand, BadFrameParams, BadKernel, ClipTooShort
+from churnfusion.errors import BadBand, BadFrameParams, BadKernel, BadWav, ClipTooShort
 from churnfusion.synth import SynthConfig, generate_cohort, generate_ser_corpus
 from reference import mel_band_centers
 
@@ -303,3 +306,86 @@ def test_feature_maps_are_byte_identical_to_golden():
     images = np.stack([build_feature_map(clip).image for clip in clips])
     assert images.shape == (36, 3, 64)
     assert hashlib.sha256(images.tobytes()).hexdigest() == GOLDEN_MAPS_SHA256
+
+
+def use_cpus(monkeypatch, n):
+    """Make build_feature_maps see n usable CPUs and no other thread, so it forks n - 1 helpers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(af, "_threads", lambda: 1)
+
+
+@pytest.fixture(scope="module")
+def cohort_clips():
+    cohort = generate_cohort(SynthConfig(n_customers=45, clip_duration_s=0.5, seed=4))
+    return [cohort.audio_clips[ref] for ref in sorted(cohort.audio_clips)]
+
+
+def images(maps):
+    return [m.image.tobytes() for m in maps]
+
+
+class TestBuildFeatureMaps:
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("n", [0, 1, af.CHUNK_CLIPS - 1, af.CHUNK_CLIPS, 45])
+    def test_equals_the_serial_loop(self, cohort_clips, monkeypatch, n, cpus):
+        use_cpus(monkeypatch, cpus)
+        params = FeatureParams(n_mels=32, kernel_time=9)
+        clips = cohort_clips[:n]
+        maps = af.build_feature_maps(iter(clips), params)
+        assert images(maps) == images(build_feature_map(c, params) for c in clips)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, threads", [(1, 1), (4, 3)])
+    def test_one_cpu_or_a_threaded_process_forks_nothing(
+        self, cohort_clips, monkeypatch, cpus, threads
+    ):
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(af, "_threads", lambda: threads)
+        monkeypatch.setattr(multiprocessing, "get_context", mock.Mock(side_effect=AssertionError))
+        maps = af.build_feature_maps(cohort_clips)
+        assert images(maps) == images(build_feature_map(c) for c in cohort_clips)
+
+    def test_maps_of_1s_clips_keep_the_golden_bytes(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        clips, _ = generate_ser_corpus(4, 0.5, 5)
+        cohort = generate_cohort(SynthConfig(n_customers=20, clip_duration_s=1.0, seed=3))
+        clips += [cohort.audio_clips[ref] for ref in sorted(cohort.audio_clips)]
+        stacked = np.stack([m.image for m in af.build_feature_maps(clips)])
+        assert hashlib.sha256(stacked.tobytes()).hexdigest() == GOLDEN_MAPS_SHA256
+
+    # with two CPUs the helper maps chunks 0, 2, 4 and the caller maps 1, 3, 5
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("short, band", [(3, 12), (12, 3), (19, 35), (35, 37), (44, 43)])
+    def test_raises_the_first_error_in_clip_order(
+        self, cohort_clips, monkeypatch, cpus, short, band
+    ):
+        use_cpus(monkeypatch, cpus)
+        clips = list(cohort_clips)
+        clips[short] = AudioClip(np.ones(512), SR)
+        clips[band] = AudioClip(np.ones(8000), 8000)  # f_max 8000 Hz is above its Nyquist
+        with pytest.raises(ClipTooShort if short < band else BadBand):
+            af.build_feature_maps(clips)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("bad_map, bad_make, raised", [
+        (None, 20, BadWav), (None, 3, BadWav), (17, 20, BadBand), (9, 12, BadBand),
+        (21, 20, BadWav),
+    ])
+    def test_a_clip_that_cannot_be_made_raises_in_order(
+        self, cohort_clips, monkeypatch, cpus, bad_map, bad_make, raised
+    ):
+        use_cpus(monkeypatch, cpus)
+        clips = list(cohort_clips)
+        if bad_map is not None:
+            clips[bad_map] = AudioClip(np.ones(8000), 8000)
+
+        def made():
+            for i, clip in enumerate(clips):
+                if i == bad_make:
+                    raise BadWav("clip could not be made")
+                yield clip
+
+        with pytest.raises(raised):
+            af.build_feature_maps(made())
+        assert multiprocessing.active_children() == []

@@ -1,12 +1,15 @@
 import dataclasses
 import hashlib
+import multiprocessing
+import os
 import shutil
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from churnfusion import cli, metrics, pipeline, synth
+from churnfusion import audio_features, cli, metrics, pipeline, synth
+from churnfusion.audio_features import AudioClip
 from churnfusion.errors import InvalidConfig, MissingModality
 from churnfusion.synth import SynthConfig, generate_cohort
 
@@ -357,4 +360,25 @@ class TestCliAudioOnLookup:
         err = capsys.readouterr().err
         assert err.startswith("error: bad WAV ")
         assert str(bad) in err
+        assert not (ws / "reports" / "report_late.txt").exists()
+
+    def test_short_clip_fails_evaluate_and_leaves_no_process(
+        self, fresh, small_cfg, monkeypatch, capsys
+    ):
+        ws, config = fresh
+        # two usable CPUs and no other thread: one helper, which maps the
+        # first chunk of test clips
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(audio_features, "_threads", lambda: 1)
+        table = generate_cohort(small_cfg.synth).table
+        _, test, _ = pipeline.split_table(table, small_cfg.test_fraction, small_cfg.seed)
+        short = AudioClip(0.5 * np.sin(np.arange(512) / 9.0), 16000)
+        (ws / "data" / "audio" / f"{test.ids[0]}.wav").write_bytes(synth.clip_to_wav_bytes(short))
+        for args in (["train", "fl"], ["train", "churn"], ["train", "ser"]):
+            assert run_cli(args, ws, config) == 0
+        capsys.readouterr()
+        assert run_cli(["evaluate", "late"], ws, config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: clip of 512 samples")
+        assert multiprocessing.active_children() == []
         assert not (ws / "reports" / "report_late.txt").exists()

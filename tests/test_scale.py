@@ -1,15 +1,23 @@
-"""The k-NN paths hold memory linear in n, up to n=20,000 customers.
+"""Memory stays flat as the cohort grows.
 
-A search that builds the full [n_queries, n_points, d] difference array
-peaks at 64-308 MB in these calls at n=4000 and would need ~7.7 GB at
-n=20,000, so n=4000 runs first under the same ceiling.
+The k-NN paths hold memory linear in n, up to n=20,000 customers. A search
+that builds the full [n_queries, n_points, d] difference array peaks at
+64-308 MB in these calls at n=4000 and would need ~7.7 GB at n=20,000, so
+n=4000 runs first under the same ceiling.
+
+Feature maps hold a few chunks of clips in flight, whatever the number of
+clips: mapping all 400 one-second clips at once holds about 52 MB.
 """
 
+import dataclasses
+import os
 import tracemalloc
 
+from churnfusion import audio_features
 from churnfusion import churn_model as cm
 from churnfusion import fl_model as flm
 from churnfusion import pipeline, synth
+from churnfusion.mlp import TrainConfig
 
 CEILING_MB = 16.0
 
@@ -49,3 +57,26 @@ def test_knn_paths_stay_under_a_fixed_memory_ceiling():
             ),
         }
         assert max(peaks.values()) < CEILING_MB, (n, peaks)
+
+
+def test_emotion_flags_hold_memory_flat_in_the_number_of_clips(monkeypatch):
+    # four usable CPUs and no other thread: three helpers and up to eight
+    # chunks in flight
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(audio_features, "_threads", lambda: 1)
+    cfg = pipeline.with_seed(
+        pipeline.RunConfig(
+            ser_corpus_per_class=1,
+            ser_train=TrainConfig(epochs=1),
+            synth=synth.SynthConfig(clip_duration_s=1.0),
+        ),
+        0,
+    )
+    ser = pipeline.train_ser(cfg)
+    peaks = {}
+    for n in (100, 400):
+        cohort = synth.generate_cohort(dataclasses.replace(cfg.synth, n_customers=n))
+        peaks[n] = traced_peak_mb(
+            lambda: pipeline.compute_emotions(cohort.table, cohort.audio_clips, ser, cfg)
+        )
+    assert max(peaks.values()) < CEILING_MB, peaks
