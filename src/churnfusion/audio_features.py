@@ -16,10 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-# Loaded with this module: forked map helpers inherit it, and numpy's BLAS
-# with the thread setting that the Mel projection's bytes depend on.
-from scipy.ndimage import median_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadBand, BadFrameParams, BadKernel, ClipTooShort
 
@@ -108,10 +105,8 @@ def stft_magnitude(clip: AudioClip, frame_size: int = 1024, hop_size: int = 256)
     n = clip.samples.size
     if n < frame_size:
         raise ClipTooShort(f"clip of {n} samples shorter than frame_size {frame_size}")
-    n_frames = (n - frame_size) // hop_size + 1
     window = np.hanning(frame_size)
-    idx = np.arange(frame_size)[None, :] + hop_size * np.arange(n_frames)[:, None]
-    frames = clip.samples[idx] * window
+    frames = sliding_window_view(clip.samples, frame_size)[::hop_size] * window
     mags = np.abs(np.fft.rfft(frames, axis=1)).T
     return Spectrogram(mags, frame_size=frame_size, hop_size=hop_size, sample_rate=clip.sample_rate)
 
@@ -132,6 +127,8 @@ def _median_along(x: np.ndarray, k: int, axis: int) -> np.ndarray:
     equal to it bit for bit except on a length-2 axis, where scipy's N-D
     filter returns values from outside the row.
     """
+    from scipy.ndimage import median_filter
+
     rows = x if axis == 1 else x.T
     n = rows.shape[1]
     half = k // 2
@@ -252,8 +249,11 @@ def _result(done) -> list[FeatureMap]:
 
 
 def _threads() -> int:
-    """OS threads in this process, a BLAS library's workers included."""
-    return len(os.listdir("/proc/self/task"))
+    """OS threads in this process, a BLAS library's workers included; 0 if unknown."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:  # no /proc, e.g. macOS or Windows
+        return 0
 
 
 def build_feature_maps(clips, params: FeatureParams = FeatureParams()) -> list[FeatureMap]:
@@ -269,12 +269,20 @@ def build_feature_maps(clips, params: FeatureParams = FeatureParams()) -> list[F
     returns or raises. Helpers are forked, not spawned: they start at once,
     and they inherit the BLAS thread setting the maps' bytes depend on.
 
-    The serial loop runs instead when there is one usable CPU, fewer clips
-    than one chunk, or another thread in the process. Forking a threaded
+    The order is import, then thread check, then fork. scipy.ndimage loads
+    first, so every helper inherits it rather than loading it again, and
+    the threads that loading starts are counted. The serial loop runs when
+    there is one usable CPU, fewer clips than one chunk, another thread in
+    the process, or no way to count threads or CPUs (no /proc, or no
+    `os.sched_getaffinity`, as on macOS and Windows). Forking a threaded
     process is unsafe, and a multi-threaded BLAS keeps its workers spinning
     on the other CPUs, where they would slow the helpers down.
     """
-    helpers = len(os.sched_getaffinity(0)) - 1 if _threads() == 1 else 0
+    import scipy.ndimage  # noqa: F401
+
+    helpers = 0
+    if _threads() == 1 and hasattr(os, "sched_getaffinity"):
+        helpers = len(os.sched_getaffinity(0)) - 1
     if not helpers:
         return [build_feature_map(clip, params) for clip in clips]
     clips = iter(clips)

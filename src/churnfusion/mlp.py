@@ -61,7 +61,8 @@ class MLPParams:
 def sigmoid(z: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument never overflows
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def init_params(layer_dims, seed: int) -> MLPParams:

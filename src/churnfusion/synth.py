@@ -119,8 +119,8 @@ def synth_audio(emotion: str, duration_s: float, seed) -> AudioClip:
         raise InvalidDuration(f"duration {duration_s} outside [0.5, 10] s")
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * SAMPLE_RATE))
-    t = np.arange(n) / SAMPLE_RATE
     if emotion in POSITIVE_LABELS:
+        t = np.arange(n) / SAMPLE_RATE
         f0 = rng.uniform(180.0, 280.0)
         n_harm = 6 if emotion == "Happiness" else 4
         x = np.zeros(n)

@@ -345,6 +345,27 @@ class TestBuildFeatureMaps:
         maps = af.build_feature_maps(cohort_clips)
         assert images(maps) == images(build_feature_map(c) for c in cohort_clips)
 
+    def test_no_sched_getaffinity_maps_serially(self, cohort_clips, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(af, "_threads", lambda: 1)
+        monkeypatch.setattr(multiprocessing, "get_context", mock.Mock(side_effect=AssertionError))
+        maps = af.build_feature_maps(cohort_clips)
+        assert images(maps) == images(build_feature_map(c) for c in cohort_clips)
+
+    def test_no_proc_task_list_maps_serially(self, cohort_clips, monkeypatch):
+        listdir = os.listdir
+
+        def no_proc(path="."):
+            if path == "/proc/self/task":
+                raise FileNotFoundError(path)
+            return listdir(path)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "listdir", no_proc)
+        monkeypatch.setattr(multiprocessing, "get_context", mock.Mock(side_effect=AssertionError))
+        maps = af.build_feature_maps(cohort_clips)
+        assert images(maps) == images(build_feature_map(c) for c in cohort_clips)
+
     def test_maps_of_1s_clips_keep_the_golden_bytes(self, monkeypatch):
         use_cpus(monkeypatch, 2)
         clips, _ = generate_ser_corpus(4, 0.5, 5)
