@@ -8,10 +8,9 @@ complementary soft masks, Mel-filterbank projection, and a compact
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
-from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -229,23 +228,19 @@ def build_feature_map(clip: AudioClip, params: FeatureParams = FeatureParams()) 
     return FeatureMap(image)
 
 
-def _map_chunk(clips: list[AudioClip], params: FeatureParams) -> list[FeatureMap]:
-    return [build_feature_map(clip, params) for clip in clips]
+_work = None  # (clips, params) in a helper, set once as it starts
 
 
-def _take(clips, n: int):
-    """The next n clips (fewer at the end), and the error that cut them short, if any."""
-    chunk = []
-    try:
-        chunk.extend(itertools.islice(clips, n))
-    except Exception as exc:  # making a clip failed, e.g. an unreadable WAV
-        return chunk, exc
-    return chunk, None
+def _start_helper(clips, params: FeatureParams) -> None:
+    global _work
+    _work = clips, params
 
 
-def _result(done) -> list[FeatureMap]:
-    """A chunk's maps: mapped by the caller, or awaited from a helper."""
-    return done if isinstance(done, list) else done.get()
+def _map_chunk(start: int) -> list[FeatureMap]:
+    """Make and map clips start .. start + CHUNK_CLIPS - 1, in a helper."""
+    clips, params = _work
+    stop = min(start + CHUNK_CLIPS, len(clips))
+    return [build_feature_map(clips[i], params) for i in range(start, stop)]
 
 
 def _threads() -> int:
@@ -257,58 +252,41 @@ def _threads() -> int:
 
 
 def build_feature_maps(clips, params: FeatureParams = FeatureParams()) -> list[FeatureMap]:
-    """`[build_feature_map(clip, params) for clip in clips]`, on every usable CPU.
+    """`[build_feature_map(clips[i], params) for i in range(len(clips))]`, on every usable CPU.
 
-    The maps come back in order and bit for bit as the serial loop makes
-    them, and the error raised is the one the serial loop would meet first.
-    The caller makes each clip and cuts them into chunks of CHUNK_CLIPS. It
-    forks h helpers, one per usable CPU beyond its own; they map all but
-    every (h+1)-th chunk, which the caller maps itself. At most 2(h+1)
-    chunks are in flight, so memory does not grow with the number of clips.
+    `clips` is any sequence: `len` and integer indexing, where indexing may
+    make the clip (read a WAV, say). The maps come back in order and bit for
+    bit as the serial loop makes them, and the error raised is the one the
+    serial loop would meet first, whether making or mapping a clip raised it.
+    The call forks one helper per usable CPU, at most one per chunk of
+    CHUNK_CLIPS clips. Each helper makes and maps the clips of the chunks it
+    is handed, so only chunk start indices and maps cross between processes,
+    and the caller makes no clip. `Executor.map` hands the chunks back in
+    order and re-raises a chunk's error at that chunk's place; a helper that
+    dies raises `BrokenProcessPool` rather than leaving the call waiting.
     The pool lives for one call, and every helper is reaped before the call
     returns or raises. Helpers are forked, not spawned: they start at once,
-    and they inherit the BLAS thread setting the maps' bytes depend on.
+    inherit `clips` without pickling it, and inherit the BLAS thread setting
+    the maps' bytes depend on.
 
     The order is import, then thread check, then fork. scipy.ndimage loads
     first, so every helper inherits it rather than loading it again, and
     the threads that loading starts are counted. The serial loop runs when
-    there is one usable CPU, fewer clips than one chunk, another thread in
-    the process, or no way to count threads or CPUs (no /proc, or no
-    `os.sched_getaffinity`, as on macOS and Windows). Forking a threaded
-    process is unsafe, and a multi-threaded BLAS keeps its workers spinning
-    on the other CPUs, where they would slow the helpers down.
+    fewer than two helpers would be forked (one usable CPU, or one chunk),
+    when another thread runs in the process, or when there is no way to
+    count threads or CPUs (no /proc, or no `os.sched_getaffinity`, as on
+    macOS and Windows). Forking a threaded process is unsafe, and a
+    multi-threaded BLAS keeps its workers spinning on the other CPUs, where
+    they would slow the helpers down.
     """
     import scipy.ndimage  # noqa: F401
 
+    n = len(clips)
     helpers = 0
     if _threads() == 1 and hasattr(os, "sched_getaffinity"):
-        helpers = len(os.sched_getaffinity(0)) - 1
-    if not helpers:
-        return [build_feature_map(clip, params) for clip in clips]
-    clips = iter(clips)
-    chunk, failed = _take(clips, CHUNK_CLIPS)
-    if len(chunk) < CHUNK_CLIPS:  # too few clips to share
-        maps = _map_chunk(chunk, params)
-        if failed:
-            raise failed
-        return maps
-    maps, pending = [], deque()
-    with multiprocessing.get_context("fork").Pool(helpers) as pool:
-        for turn in itertools.count():
-            if turn % (helpers + 1) == helpers:
-                try:
-                    pending.append(_map_chunk(chunk, params))
-                except Exception as exc:  # raised once the chunks before it are in
-                    failed = exc
-            elif chunk:
-                pending.append(pool.apply_async(_map_chunk, (chunk, params)))
-            if failed or len(chunk) < CHUNK_CLIPS:
-                break
-            while len(pending) >= 2 * (helpers + 1):
-                maps += _result(pending.popleft())
-            chunk, failed = _take(clips, CHUNK_CLIPS)
-        for done in pending:
-            maps += _result(done)
-    if failed:
-        raise failed
-    return maps
+        helpers = min(len(os.sched_getaffinity(0)), -(-n // CHUNK_CLIPS))
+    if helpers < 2:
+        return [build_feature_map(clips[i], params) for i in range(n)]
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(helpers, fork, _start_helper, (clips, params)) as pool:
+        return [m for chunk in pool.map(_map_chunk, range(0, n, CHUNK_CLIPS)) for m in chunk]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mlp
-from .errors import BadK, DimensionMismatch, MissingModality, SingleClass, TooFewMinority
+from .errors import BadK, DegenerateData, MissingModality, ShapeMismatch, TooFewMinority
 from .neighbors import nearest
 
 MAGIC = b"CHRN"
@@ -59,7 +59,7 @@ def rfe_select(X: np.ndarray, y: np.ndarray, target_k: int) -> list[int]:
     y = np.asarray(y, dtype=np.float64).ravel()
     n, d = X.shape
     if len(np.unique(y)) < 2:
-        raise SingleClass("both classes must be present")
+        raise DegenerateData("both classes must be present")
     if not 1 <= target_k <= d:
         raise BadK(f"target_k {target_k} outside [1, {d}]")
 
@@ -86,7 +86,7 @@ def smote_oversample(
     y = np.asarray(y).astype(int).ravel()
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2:
-        raise SingleClass("both classes must be present")
+        raise DegenerateData("both classes must be present")
     minority = int(classes[np.argmin(counts)])
     min_idx = np.flatnonzero(y == minority)
     n_major = int(counts.max())
@@ -128,7 +128,7 @@ def train_churn(
     if not np.isin(y, (0, 1)).all():
         raise MissingModality("churn training needs a 0/1 outcome for every row")
     if len(np.unique(y)) < 2:
-        raise SingleClass("both classes must be present")
+        raise DegenerateData("both classes must be present")
 
     selected = rfe_select(X, y, rfe_k)
     sub = X[:, selected]
@@ -153,7 +153,7 @@ def predict_churn_batch(model: ChurnModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     needed = max(model.selected_features) + 1
     if X.shape[1] < needed:
-        raise DimensionMismatch(f"need >= {needed} features, got {X.shape[1]}")
+        raise ShapeMismatch(f"need >= {needed} features, got {X.shape[1]}")
     sub = X[:, list(model.selected_features)]
     return mlp.forward(model.params, (sub - model.norm_mean) / model.norm_std)
 

@@ -46,31 +46,19 @@ class BadBand(ChurnFusionError):
 
 
 class DegenerateData(ChurnFusionError):
-    """Training set contains a single class."""
+    """No training examples, or only one class among them."""
 
 
 class ShapeMismatch(ChurnFusionError):
-    """Input array shape incompatible with the model."""
+    """Input array shape or feature width incompatible with the model."""
 
 
 class TooFewExamples(ChurnFusionError):
-    """Not enough labeled examples for neighbor-based resampling."""
+    """Not enough labeled examples for co-training or neighbor-based resampling."""
 
 
 class TargetOutOfRange(ChurnFusionError):
     """Regression target outside [0, 1]."""
-
-
-class EmptyLabeledSet(ChurnFusionError):
-    """Co-training requires at least one labeled example."""
-
-
-class DimensionMismatch(ChurnFusionError):
-    """Feature vector length differs from the training dimension."""
-
-
-class SingleClass(ChurnFusionError):
-    """Binary task invoked with only one class present."""
 
 
 class BadK(ChurnFusionError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyLabeledSet, TargetOutOfRange, TooFewExamples
+from .errors import ShapeMismatch, TargetOutOfRange, TooFewExamples
 from .neighbors import join_leave_one_out, nearest
 
 MAGIC = b"FLKN"
@@ -78,7 +78,7 @@ class KNNRegressor:
     def predict(self, queries: np.ndarray) -> np.ndarray:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if queries.shape[1] != self.X.shape[1]:
-            raise DimensionMismatch(
+            raise ShapeMismatch(
                 f"query width {queries.shape[1]} != training width {self.X.shape[1]}"
             )
         order, _ = nearest(queries, self.X, self.k, self.p)
@@ -161,7 +161,7 @@ def coreg_train(
     once neither learner accepts anything.
     """
     if not labeled:
-        raise EmptyLabeledSet("co-training needs at least one labeled example")
+        raise TooFewExamples("co-training needs at least one labeled example")
     base = smogn_resample(labeled, smogn) if smogn is not None else list(labeled)
     if len(base) < 2:
         raise TooFewExamples(f"co-training needs >= 2 labeled examples, got {len(base)}")

@@ -14,13 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .data_model import RISK_LABELS
-from .errors import (
-    DegenerateColumn,
-    EmptyQuerySet,
-    LengthMismatch,
-    NoRelevant,
-    SingleClass,
-)
+from .errors import DegenerateColumn, DegenerateData, EmptyQuerySet, LengthMismatch, NoRelevant
 from .fusion import Assignments
 
 MID_RANK_CENTER = 2.0  # D value of the mid-risk triples
@@ -110,7 +104,7 @@ def roc_auc(scores, labels) -> float:
     n_pos = int(positive.sum())
     n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClass("both classes must be present")
+        raise DegenerateData("both classes must be present")
     # a tie group ending at 1-based rank r with c members shares rank r - (c - 1) / 2
     _, group, counts = np.unique(scores[known], return_inverse=True, return_counts=True)
     ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]

@@ -324,6 +324,19 @@ def images(maps):
     return [m.image.tobytes() for m in maps]
 
 
+class Made:
+    """A sequence of n clips; item i is make(i), called when it is indexed."""
+
+    def __init__(self, n, make):
+        self.n, self.make = n, make
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        return self.make(i)
+
+
 class TestBuildFeatureMaps:
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     @pytest.mark.parametrize("n", [0, 1, af.CHUNK_CLIPS - 1, af.CHUNK_CLIPS, 45])
@@ -331,7 +344,7 @@ class TestBuildFeatureMaps:
         use_cpus(monkeypatch, cpus)
         params = FeatureParams(n_mels=32, kernel_time=9)
         clips = cohort_clips[:n]
-        maps = af.build_feature_maps(iter(clips), params)
+        maps = af.build_feature_maps(clips, params)
         assert images(maps) == images(build_feature_map(c, params) for c in clips)
         assert multiprocessing.active_children() == []
 
@@ -374,7 +387,8 @@ class TestBuildFeatureMaps:
         stacked = np.stack([m.image for m in af.build_feature_maps(clips)])
         assert hashlib.sha256(stacked.tobytes()).hexdigest() == GOLDEN_MAPS_SHA256
 
-    # with two CPUs the helper maps chunks 0, 2, 4 and the caller maps 1, 3, 5
+    # with two or four CPUs the helpers make and map every chunk, and the
+    # error of the first chunk that fails is raised
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     @pytest.mark.parametrize("short, band", [(3, 12), (12, 3), (19, 35), (35, 37), (44, 43)])
     def test_raises_the_first_error_in_clip_order(
@@ -401,12 +415,25 @@ class TestBuildFeatureMaps:
         if bad_map is not None:
             clips[bad_map] = AudioClip(np.ones(8000), 8000)
 
-        def made():
-            for i, clip in enumerate(clips):
-                if i == bad_make:
-                    raise BadWav("clip could not be made")
-                yield clip
+        def make(i):
+            if i == bad_make:
+                raise BadWav("clip could not be made")
+            return clips[i]
 
         with pytest.raises(raised):
-            af.build_feature_maps(made())
+            af.build_feature_maps(Made(len(clips), make))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_helpers_make_every_clip(self, cohort_clips, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        caller = os.getpid()
+
+        def make(i):
+            if os.getpid() == caller:
+                raise AssertionError(f"the caller made clip {i}")
+            return cohort_clips[i]
+
+        maps = af.build_feature_maps(Made(len(cohort_clips), make))
+        assert images(maps) == images(build_feature_map(c) for c in cohort_clips)
         assert multiprocessing.active_children() == []

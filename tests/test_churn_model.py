@@ -3,7 +3,7 @@ import pytest
 
 from churnfusion import churn_model as cm
 from churnfusion import mlp
-from churnfusion.errors import BadK, DimensionMismatch, MissingModality, SingleClass, TooFewMinority
+from churnfusion.errors import BadK, DegenerateData, MissingModality, ShapeMismatch, TooFewMinority
 
 
 def single_feature_accuracy(X, y, j):
@@ -43,7 +43,7 @@ class TestRfe:
 
     def test_errors(self):
         X = np.zeros((10, 3))
-        with pytest.raises(SingleClass):
+        with pytest.raises(DegenerateData):
             cm.rfe_select(X, np.zeros(10), 2)
         y = np.array([0, 1] * 5)
         with pytest.raises(BadK):
@@ -109,7 +109,7 @@ class TestSmote:
 
     def test_errors(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
-        with pytest.raises(SingleClass):
+        with pytest.raises(DegenerateData):
             cm.smote_oversample(X, np.ones(10, dtype=int))
         y = np.array([1] * 3 + [0] * 7)
         with pytest.raises(TooFewMinority):
@@ -145,7 +145,7 @@ class TestTrainChurn:
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(20, 3))
-        with pytest.raises(SingleClass):
+        with pytest.raises(DegenerateData):
             cm.train_churn(X, np.zeros(20, dtype=int), rfe_k=2)
 
     def test_unknown_or_non_binary_outcome_rejected(self):
@@ -190,7 +190,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         X, y = separable_data(5)
         model = cm.train_churn(X, y, rfe_k=2, hyper=mlp.TrainConfig(epochs=5, seed=0))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             cm.predict_churn_batch(model, np.array([[1.0], [2.0]]))
 
     def test_selection_and_normalization_applied(self):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from churnfusion import fl_model as flm
-from churnfusion.errors import (
-    DimensionMismatch,
-    EmptyLabeledSet,
-    TargetOutOfRange,
-    TooFewExamples,
-)
+from churnfusion.errors import ShapeMismatch, TargetOutOfRange, TooFewExamples
 from churnfusion.synth import SynthConfig, generate_cohort
 
 
@@ -221,7 +216,7 @@ class TestCoreg:
         assert len(joined) == len(model.transcript) and min(joined) < 3
 
     def test_empty_labeled_set_rejected(self):
-        with pytest.raises(EmptyLabeledSet):
+        with pytest.raises(TooFewExamples):
             flm.coreg_train([], [np.zeros(2)])
 
     def test_single_labeled_row_rejected(self):
@@ -284,7 +279,7 @@ class TestPredict:
             learner1=flm.KNNRegressor(np.zeros((3, 2)), np.zeros(3), 1, 2.0),
             learner2=flm.KNNRegressor(np.zeros((3, 2)), np.zeros(3), 1, 5.0),
         )
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             flm.predict_fl_batch(model, np.zeros((2, 4)))
 
 

@@ -1,7 +1,9 @@
-"""scipy loads only where a clip is mapped, checked in a new interpreter.
+"""Checks run in a new interpreter: scipy loads only where a clip is mapped,
+and a helper that dies breaks the map call rather than hanging it.
 
-The pytest process has imported scipy long before these tests run, so each
-test starts its own Python, prints one JSON line and exits.
+The pytest process has imported scipy long before these tests run, and a
+hang must end in a timeout, not stall the suite, so each test starts its
+own Python, prints one JSON line and exits.
 """
 
 import json
@@ -14,12 +16,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_fresh(code: str, cwd: Path) -> dict:
+def run_fresh(code: str, cwd: Path, timeout: float = 300) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -81,3 +83,37 @@ def test_scipy_loads_before_the_pool_forks(tmp_path):
         tmp_path,
     )
     assert out == {"before": False, "seen": [True], "equal": True}
+
+
+def test_a_helper_that_dies_breaks_the_pool_rather_than_hanging(tmp_path):
+    out = run_fresh(
+        """
+        import json, multiprocessing, os
+        from concurrent.futures.process import BrokenProcessPool
+
+        from churnfusion import audio_features as af
+        from churnfusion.synth import SynthConfig, generate_cohort
+
+        cohort = generate_cohort(SynthConfig(n_customers=20, clip_duration_s=0.5, seed=4))
+        clips = [cohort.audio_clips[ref] for ref in sorted(cohort.audio_clips)]
+        os.sched_getaffinity = lambda pid: {0, 1}
+        af._threads = lambda: 1
+        caller, build = os.getpid(), af.build_feature_map
+
+        def dies_in_a_helper(clip, params):
+            if os.getpid() != caller:
+                os._exit(3)  # as an OOM kill or a segfault would end it
+            return build(clip, params)
+
+        af.build_feature_map = dies_in_a_helper
+        try:
+            af.build_feature_maps(clips)
+            raised = None
+        except BrokenProcessPool as exc:
+            raised = type(exc).__name__
+        print(json.dumps({"raised": raised, "children": len(multiprocessing.active_children())}))
+        """,
+        tmp_path,
+        timeout=60,
+    )
+    assert out == {"raised": "BrokenProcessPool", "children": 0}

@@ -10,7 +10,7 @@ from churnfusion import fusion, pipeline
 from churnfusion import ser_model
 from churnfusion.audio_features import FeatureParams, build_feature_map
 from churnfusion.data_model import RISK_LABELS
-from churnfusion.errors import DimensionMismatch, InvalidTriple, MissingModality
+from churnfusion.errors import InvalidTriple, MissingModality, ShapeMismatch
 from churnfusion.mlp import TrainConfig
 from churnfusion.synth import SynthConfig, generate_cohort, generate_ser_corpus
 
@@ -199,7 +199,7 @@ class TestRunHybridFusion:
             norm_mean=np.zeros(1),
             norm_std=np.ones(1),
         )
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             fusion.run_hybrid_fusion(cohort.table, fl_model, bad, emotions)
 
     def test_augment_features_layout(self):

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 from churnfusion import metrics
 from churnfusion.errors import (
     DegenerateColumn,
+    DegenerateData,
     EmptyQuerySet,
     LengthMismatch,
     NoRelevant,
-    SingleClass,
 )
 from churnfusion.fusion import Assignments
 
@@ -151,7 +151,7 @@ class TestRocAuc:
         assert metrics.roc_auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == 0.75
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClass):
+        with pytest.raises(DegenerateData):
             metrics.roc_auc([0.1, 0.2], [1, 1])
 
     def test_monotone_transform_invariance(self):

@@ -366,8 +366,8 @@ class TestCliAudioOnLookup:
         self, fresh, small_cfg, monkeypatch, capsys
     ):
         ws, config = fresh
-        # two usable CPUs and no other thread: one helper, which maps the
-        # first chunk of test clips
+        # two usable CPUs and no other thread: two helpers make and map the
+        # 18 test clips, and the short clip is in the first chunk
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(audio_features, "_threads", lambda: 1)
         table = generate_cohort(small_cfg.synth).table

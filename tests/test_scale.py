@@ -60,8 +60,8 @@ def test_knn_paths_stay_under_a_fixed_memory_ceiling():
 
 
 def test_emotion_flags_hold_memory_flat_in_the_number_of_clips(monkeypatch):
-    # four usable CPUs and no other thread: three helpers and up to eight
-    # chunks in flight
+    # four usable CPUs and no other thread: four helpers, each making and
+    # mapping the clips of the chunks it is handed
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.setattr(audio_features, "_threads", lambda: 1)
     cfg = pipeline.with_seed(
