@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadBand, BadFrameParams, BadKernel, ClipTooShort
+from .errors import BadBand, ClipTooShort, InvalidConfig
 
 EPS = 1e-10
 CHUNK_CLIPS = 8  # clips per batch that one process maps
@@ -98,9 +98,9 @@ def stft_magnitude(clip: AudioClip, frame_size: int = 1024, hop_size: int = 256)
     Frame count is floor((len - frame_size)/hop) + 1; no padding.
     """
     if frame_size < 2 or frame_size & (frame_size - 1):
-        raise BadFrameParams(f"frame_size {frame_size} is not a power of two")
+        raise InvalidConfig(f"frame_size {frame_size} is not a power of two")
     if not 0 < hop_size <= frame_size:
-        raise BadFrameParams(f"hop_size {hop_size} outside (0, frame_size]")
+        raise InvalidConfig(f"hop_size {hop_size} outside (0, frame_size]")
     n = clip.samples.size
     if n < frame_size:
         raise ClipTooShort(f"clip of {n} samples shorter than frame_size {frame_size}")
@@ -112,7 +112,7 @@ def stft_magnitude(clip: AudioClip, frame_size: int = 1024, hop_size: int = 256)
 
 def _check_kernel(k: int, name: str) -> None:
     if k < 3 or k % 2 == 0:
-        raise BadKernel(f"{name} must be an odd integer >= 3, got {k}")
+        raise InvalidConfig(f"{name} must be an odd integer >= 3, got {k}")
 
 
 def _median_along(x: np.ndarray, k: int, axis: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mlp
-from .errors import BadK, DegenerateData, MissingModality, ShapeMismatch, TooFewMinority
+from .errors import DegenerateData, InvalidConfig, MissingModality, ShapeMismatch, TooFewExamples
 from .neighbors import nearest
 
 MAGIC = b"CHRN"
@@ -61,7 +61,7 @@ def rfe_select(X: np.ndarray, y: np.ndarray, target_k: int) -> list[int]:
     if len(np.unique(y)) < 2:
         raise DegenerateData("both classes must be present")
     if not 1 <= target_k <= d:
-        raise BadK(f"target_k {target_k} outside [1, {d}]")
+        raise InvalidConfig(f"target_k {target_k} outside [1, {d}]")
 
     remaining = list(range(d))
     while len(remaining) > target_k:
@@ -94,7 +94,7 @@ def smote_oversample(
     if deficit <= 0:
         return X.copy(), y.copy()
     if min_idx.size < k + 1:
-        raise TooFewMinority(f"minority class needs >= {k + 1} members, has {min_idx.size}")
+        raise TooFewExamples(f"minority class needs >= {k + 1} members, has {min_idx.size}")
 
     Xm = X[min_idx]
     neighbors, _ = nearest(Xm, Xm, k, exclude=np.arange(min_idx.size))
@@ -127,8 +127,6 @@ def train_churn(
     y = np.asarray(y).astype(int).ravel()
     if not np.isin(y, (0, 1)).all():
         raise MissingModality("churn training needs a 0/1 outcome for every row")
-    if len(np.unique(y)) < 2:
-        raise DegenerateData("both classes must be present")
 
     selected = rfe_select(X, y, rfe_k)
     sub = X[:, selected]

@@ -1,9 +1,11 @@
 """Command-line experiment harness.
 
-Workspace layout under --out: ``data/`` (cohort files), ``models/``
-(versioned binaries), ``reports/`` (assignment tables and metric
-reports). All commands re-derive the train/test split from the top-level
-seed, so trainers and evaluators agree without extra bookkeeping.
+Every command takes the same three flags. Settings, thresholds and the
+``compare`` seed list come only from the --config file; --seed overrides
+its top-level seed. Workspace layout under --out: ``data/`` (cohort
+files), ``models/`` (versioned binaries), ``reports/`` (assignment tables
+and metric reports). All commands re-derive the train/test split from the
+top-level seed, so trainers and evaluators agree without extra bookkeeping.
 ``train`` and ``evaluate`` share `pipeline.Split` and `pipeline.assign`
 with `pipeline.run_experiment`; ``evaluate`` reads ``models/<name>.bin``,
 except that ``evaluate hybrid`` trains and writes ``churn_hybrid.bin``.
@@ -12,7 +14,6 @@ except that ``evaluate hybrid`` trains and writes ``churn_hybrid.bin``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import struct
 import sys
@@ -30,20 +31,6 @@ from . import synth
 from .errors import ChurnFusionError, MissingModality
 
 
-def _load_cfg(args) -> pipeline.RunConfig:
-    cfg = pipeline.load_config(args.config, args.seed)
-    updates = {}
-    if getattr(args, "threshold_fl", None) is not None:
-        updates["fl_threshold"] = args.threshold_fl
-    if getattr(args, "threshold_churn", None) is not None:
-        updates["churn_threshold"] = args.threshold_churn
-    if updates:
-        cfg = dataclasses.replace(
-            cfg, translation=dataclasses.replace(cfg.translation, **updates)
-        )
-    return cfg
-
-
 def _workspace(args) -> tuple[Path, Path, Path]:
     out = Path(args.out)
     return out / "data", out / "models", out / "reports"
@@ -56,7 +43,7 @@ def _read_cohort(data_dir: Path) -> synth.SyntheticCohort:
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = pipeline.load_config(args.config, args.seed)
     data_dir, _, _ = _workspace(args)
     cohort = synth.generate_cohort(cfg.synth)
     synth.write_cohort(cohort, data_dir)
@@ -97,7 +84,7 @@ def _stored_model(model_dir: Path, split: pipeline.Split, name: str):
 
 
 def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = pipeline.load_config(args.config, args.seed)
     data_dir, model_dir, _ = _workspace(args)
     cohort = _read_cohort(data_dir)
     split = pipeline.Split(cohort, cfg, pipeline.train_model)
@@ -118,7 +105,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = pipeline.load_config(args.config, args.seed)
     data_dir, model_dir, report_dir = _workspace(args)
     cohort = _read_cohort(data_dir)
     split = pipeline.Split(cohort, cfg, functools.partial(_stored_model, model_dir))
@@ -134,9 +121,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_cfg(args)
-    if args.seeds:
-        cfg = dataclasses.replace(cfg, seeds=tuple(int(s) for s in args.seeds.split(",")))
+    cfg = pipeline.load_config(args.config, args.seed)
     _, _, report_dir = _workspace(args)
     rows = pipeline.compare_over_seeds(cfg)
     table = pipeline.format_comparison(rows)
@@ -167,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="top-level seed override")
         p.add_argument("--out", default="workspace", help="workspace directory")
-        p.add_argument("--threshold-fl", type=float, default=None, dest="threshold_fl")
-        p.add_argument("--threshold-churn", type=float, default=None, dest="threshold_churn")
 
     p = sub.add_parser("gen", help="generate a synthetic cohort")
     common(p)
@@ -186,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare all strategies over a seed ensemble")
     common(p)
-    p.add_argument("--seeds", default=None, help="comma-separated seed list")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("report", help="print stored reports")

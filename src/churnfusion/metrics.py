@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .data_model import RISK_LABELS
-from .errors import DegenerateColumn, DegenerateData, EmptyQuerySet, LengthMismatch, NoRelevant
+from .errors import DegenerateData, ShapeMismatch
 from .fusion import Assignments
 
 MID_RANK_CENTER = 2.0  # D value of the mid-risk triples
@@ -35,7 +35,7 @@ def average_precision(ranked_relevance, m: int) -> float:
     """Mean of precision-at-k over the relevant positions."""
     rel = np.asarray(ranked_relevance, dtype=np.float64)
     if m < 1:
-        raise NoRelevant("average precision undefined with no relevant items")
+        raise DegenerateData("average precision undefined with no relevant items")
     if not np.all((rel == 0) | (rel == 1)) or rel.sum() > m:
         raise ValueError("relevance must be binary with at most m ones")
     hits = np.cumsum(rel)
@@ -59,14 +59,14 @@ def mean_average_precision(rank_score, truth) -> float:
             order = np.argsort(sort_keys[level], kind="stable")
             aps.append(average_precision(relevant[order], int(relevant.sum())))
     if not aps:
-        raise EmptyQuerySet("truth holds no risk level")
+        raise DegenerateData("truth holds no risk level")
     return float(np.mean(aps))
 
 
 def _aligned(predicted, truth) -> tuple[np.ndarray, np.ndarray]:
     predicted, truth = np.asarray(predicted), np.asarray(truth)
     if predicted.shape != truth.shape or not truth.size:
-        raise LengthMismatch("predicted and truth must be equal-length and non-empty")
+        raise ShapeMismatch("predicted and truth must be equal-length and non-empty")
     return predicted, truth
 
 
@@ -98,7 +98,7 @@ def roc_auc(scores, labels) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(int).ravel()
     if scores.shape != labels.shape:
-        raise LengthMismatch("scores and labels must be equal-length")
+        raise ShapeMismatch("scores and labels must be equal-length")
     known = (labels == 0) | (labels == 1)
     positive = labels[known] == 1
     n_pos = int(positive.sum())
@@ -115,9 +115,9 @@ def roc_auc(scores, labels) -> float:
 def correlation_report(assignments: Assignments) -> dict[str, float]:
     """Pairwise Pearson among fl_score, churn_propensity, emotion_binary, D."""
     if len(assignments.ids) < 3:
-        raise DegenerateColumn("need at least 3 customers")
+        raise DegenerateData("need at least 3 customers")
     if assignments.fl_score is None:
-        raise DegenerateColumn("assignments lack unimodal scores")
+        raise DegenerateData("assignments lack unimodal scores")
     columns = {
         "fl_score": assignments.fl_score,
         "churn_propensity": assignments.propensity,
@@ -126,7 +126,7 @@ def correlation_report(assignments: Assignments) -> dict[str, float]:
     }
     for name, col in columns.items():
         if np.std(col) == 0:
-            raise DegenerateColumn(f"column {name!r} is constant")
+            raise DegenerateData(f"column {name!r} is constant")
     return {
         f"{a}~{b}": float(np.corrcoef(columns[a], columns[b])[0, 1])
         for a, b in combinations(columns, 2)
@@ -148,7 +148,7 @@ def evaluate_assignments(assignments: Assignments, truth, churn_outcomes=None) -
             auc = roc_auc(assignments.propensity, outcomes)
     try:
         correlations = correlation_report(assignments)
-    except DegenerateColumn:  # too few customers, a constant column, or the baseline
+    except DegenerateData:  # too few customers, a constant column, or the baseline
         correlations = {}
     return MetricReport(
         map=mean_average_precision(assignments.rank_score, truth),

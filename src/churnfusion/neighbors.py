@@ -19,8 +19,6 @@ def _distances(queries: np.ndarray, points: np.ndarray, p: float) -> np.ndarray:
     """
     diff = np.subtract(queries[:, None, :], points[None, :, :])
     np.abs(diff, out=diff)
-    if p == 2.0:
-        return np.sqrt(np.square(diff, out=diff).sum(axis=2))
     return np.power(diff, p, out=diff).sum(axis=2) ** (1.0 / p)
 
 

@@ -154,7 +154,7 @@ def train_ser(cfg: RunConfig) -> serm.EmotionModel:
 
 
 def train_churn_baseline(train_table: CustomerTable, cfg: RunConfig) -> cm.ChurnModel:
-    rfe_k = min(cfg.rfe_k, train_table.schema.width)
+    rfe_k = min(cfg.rfe_k, train_table.features.shape[1])
     return cm.train_churn(
         train_table.features, train_table.churn_outcome, rfe_k, cfg.smote, cfg.churn_train
     )
@@ -221,7 +221,7 @@ def train_model(split: Split, name: str):
     if name == "churn":
         return train_churn_baseline(split.train, cfg)
     if name == "churn_hybrid":
-        rfe_k = min(cfg.rfe_k + 2, split.train.schema.width + 2)
+        rfe_k = min(cfg.rfe_k + 2, split.train.features.shape[1] + 2)
         return fusion.train_hybrid_churn(
             split.train, split.model("fl"), split.train_emotions, rfe_k, cfg.smote, cfg.churn_train
         )

@@ -24,12 +24,11 @@ from .data_model import (
     POSITIVE_LABELS,
     RISK_LABELS,
     CustomerTable,
-    TableSchema,
     map_emotion_to_binary,
     serialize_customer_table,
     parse_customer_table,
 )
-from .errors import BadWav, InvalidConfig, InvalidDuration, SchemaMismatch
+from .errors import BadWav, InvalidConfig, SchemaMismatch
 
 SAMPLE_RATE = 16000
 
@@ -116,7 +115,7 @@ def synth_audio(emotion: str, duration_s: float, seed) -> AudioClip:
     seed.
     """
     if not 0.5 <= duration_s <= 10.0:
-        raise InvalidDuration(f"duration {duration_s} outside [0.5, 10] s")
+        raise InvalidConfig(f"duration {duration_s} outside [0.5, 10] s")
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * SAMPLE_RATE))
     if emotion in POSITIVE_LABELS:
@@ -214,7 +213,7 @@ def generate_cohort(config: SynthConfig) -> SyntheticCohort:
         clips[ref] = partial(synth_audio, label, config.clip_duration_s, [config.seed, i, 1])
 
     table = CustomerTable(
-        TableSchema.with_width(nf), ids, X, np.where(labeled, true_fl, np.nan), churn, refs
+        tuple(f"f{i}" for i in range(nf)), ids, X, np.where(labeled, true_fl, np.nan), churn, refs
     )
     return SyntheticCohort(table, LazyClips(clips), risk_label, true_fl)
 
@@ -287,9 +286,7 @@ def write_cohort(cohort: SyntheticCohort, out_dir: str | Path) -> None:
 def read_cohort(in_dir: str | Path) -> SyntheticCohort:
     """Load a cohort previously written by write_cohort."""
     src = Path(in_dir)
-    raw = (src / "table.csv").read_bytes()
-    header = raw.split(b"\n", 1)[0].decode("utf-8").split(",")
-    table = parse_customer_table(raw, TableSchema(tuple(header[1:-3])))
+    table = parse_customer_table((src / "table.csv").read_bytes())
     clips = {}
     for line in (src / "manifest.csv").read_text(encoding="utf-8").splitlines()[1:]:
         cid, path = line.split(",", 1)

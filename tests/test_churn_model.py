@@ -3,7 +3,13 @@ import pytest
 
 from churnfusion import churn_model as cm
 from churnfusion import mlp
-from churnfusion.errors import BadK, DegenerateData, MissingModality, ShapeMismatch, TooFewMinority
+from churnfusion.errors import (
+    DegenerateData,
+    InvalidConfig,
+    MissingModality,
+    ShapeMismatch,
+    TooFewExamples,
+)
 
 
 def single_feature_accuracy(X, y, j):
@@ -46,9 +52,9 @@ class TestRfe:
         with pytest.raises(DegenerateData):
             cm.rfe_select(X, np.zeros(10), 2)
         y = np.array([0, 1] * 5)
-        with pytest.raises(BadK):
+        with pytest.raises(InvalidConfig):
             cm.rfe_select(X, y, 0)
-        with pytest.raises(BadK):
+        with pytest.raises(InvalidConfig):
             cm.rfe_select(X, y, 4)
 
 
@@ -112,7 +118,7 @@ class TestSmote:
         with pytest.raises(DegenerateData):
             cm.smote_oversample(X, np.ones(10, dtype=int))
         y = np.array([1] * 3 + [0] * 7)
-        with pytest.raises(TooFewMinority):
+        with pytest.raises(TooFewExamples):
             cm.smote_oversample(X, y, ratio=1.0, k=5)
 
 

@@ -7,21 +7,20 @@ from hypothesis import given, strategies as st
 
 from churnfusion.data_model import (
     CustomerTable,
-    TableSchema,
     map_emotion_to_binary,
     parse_customer_table,
     serialize_customer_table,
 )
 from churnfusion.errors import DuplicateId, SchemaMismatch, UnknownLabel
 
-SCHEMA3 = TableSchema(("f0", "f1", "f2"))
+NAMES3 = ("f0", "f1", "f2")
 HEADER3 = "id,f0,f1,f2,fl_label,churn_outcome,audio_ref\n"
 
 
-def make_table(ids, features, fl_label=None, churn_outcome=None, audio_ref=None, schema=SCHEMA3):
+def make_table(ids, features, fl_label=None, churn_outcome=None, audio_ref=None, names=NAMES3):
     n = len(ids)
     return CustomerTable(
-        schema,
+        names,
         tuple(ids),
         features,
         [math.nan] * n if fl_label is None else fl_label,
@@ -31,7 +30,7 @@ def make_table(ids, features, fl_label=None, churn_outcome=None, audio_ref=None,
 
 
 def assert_same_table(a, b):
-    assert a.schema == b.schema
+    assert a.feature_names == b.feature_names
     assert a.ids == b.ids
     assert a.audio_ref == b.audio_ref
     assert np.array_equal(a.features, b.features)
@@ -41,13 +40,13 @@ def assert_same_table(a, b):
 
 
 def test_empty_body_valid_header():
-    table = parse_customer_table(HEADER3.encode(), SCHEMA3)
+    table = parse_customer_table(HEADER3.encode())
     assert len(table) == 0
 
 
 def test_three_well_formed_rows():
     body = HEADER3 + "a,1,2,3,0.5,1,a.wav\nb,4,5,6,,0,\nc,7,8,9,,,\n"
-    table = parse_customer_table(body.encode(), SCHEMA3)
+    table = parse_customer_table(body.encode())
     assert table.ids == ("a", "b", "c")
     assert table.features.shape == (3, 3) and table.features[2, 1] == 8.0
     assert table.fl_label[0] == 0.5 and np.isnan(table.fl_label[1:]).all()
@@ -58,13 +57,13 @@ def test_three_well_formed_rows():
 def test_churn_outcome_two_rejected():
     body = HEADER3 + "a,1,2,3,,2,\n"
     with pytest.raises(ValueError):
-        parse_customer_table(body.encode(), SCHEMA3)
+        parse_customer_table(body.encode())
 
 
 def test_fl_label_out_of_range_rejected():
     body = HEADER3 + "a,1,2,3,1.5,,\n"
     with pytest.raises(ValueError):
-        parse_customer_table(body.encode(), SCHEMA3)
+        parse_customer_table(body.encode())
 
 
 @pytest.mark.parametrize(
@@ -74,37 +73,60 @@ def test_fl_label_out_of_range_rejected():
 def test_missing_value_markers_rejected_in_cells(row):
     # NaN and -1 mean "missing" in memory, so a cell may not spell them
     with pytest.raises(ValueError):
-        parse_customer_table((HEADER3 + row + "\n").encode(), SCHEMA3)
+        parse_customer_table((HEADER3 + row + "\n").encode())
 
 
 def test_missing_feature_cell_rejected():
     body = HEADER3 + "a,1,,3,,,\n"
     with pytest.raises(ValueError):
-        parse_customer_table(body.encode(), SCHEMA3)
+        parse_customer_table(body.encode())
 
 
 def test_non_numeric_feature_rejected():
     body = HEADER3 + "a,1,x,3,,,\n"
     with pytest.raises(ValueError):
-        parse_customer_table(body.encode(), SCHEMA3)
+        parse_customer_table(body.encode())
 
 
 def test_duplicate_id_rejected():
     body = HEADER3 + "a,1,2,3,,,\na,4,5,6,,,\n"
     with pytest.raises(DuplicateId):
-        parse_customer_table(body.encode(), SCHEMA3)
+        parse_customer_table(body.encode())
 
 
 def test_header_mismatch_rejected():
-    body = "id,g0,g1,g2,fl_label,churn_outcome,audio_ref\n"
-    with pytest.raises(SchemaMismatch):
-        parse_customer_table(body.encode(), SCHEMA3)
+    # only the fixed columns are checked: id first, the three trailing ones last
+    for header in (
+        "",
+        "f0,f1,f2,fl_label,churn_outcome,audio_ref",
+        "key,f0,f1,f2,fl_label,churn_outcome,audio_ref",
+        "id,f0,f1,f2,fl_label,churn_outcome",
+        "id,f0,f1,f2,churn_outcome,fl_label,audio_ref",
+        "id,fl_label,churn_outcome",
+    ):
+        with pytest.raises(SchemaMismatch):
+            parse_customer_table((header + "\n").encode())
+
+
+def test_header_names_the_features():
+    body = "id,g0,g1,g2,fl_label,churn_outcome,audio_ref\na,1,2,3,,,\n"
+    assert parse_customer_table(body.encode()).feature_names == ("g0", "g1", "g2")
+    empty = parse_customer_table(b"id,fl_label,churn_outcome,audio_ref\na,,,\n")
+    assert empty.feature_names == () and empty.features.shape == (1, 0)
+
+
+def test_duplicate_feature_name_rejected():
+    body = "id,f0,f1,f0,fl_label,churn_outcome,audio_ref\na,1,2,3,,,\n"
+    with pytest.raises(ValueError, match="duplicate feature"):
+        parse_customer_table(body.encode())
+    with pytest.raises(ValueError, match="duplicate feature"):
+        make_table(["a"], [[1.0, 2.0, 3.0]], names=("f0", "f1", "f0"))
 
 
 def test_row_width_mismatch_rejected():
     body = HEADER3 + "a,1,2,,,\n"
     with pytest.raises(SchemaMismatch):
-        parse_customer_table(body.encode(), SCHEMA3)
+        parse_customer_table(body.encode())
 
 
 @pytest.mark.parametrize(
@@ -210,6 +232,6 @@ def test_serialize_parse_round_trip(rows):
         audio_ref=tuple(ref for _, _, _, ref in rows),
     )
     blob = serialize_customer_table(table)
-    again = parse_customer_table(blob, SCHEMA3)
+    again = parse_customer_table(blob)
     assert_same_table(again, table)
     assert serialize_customer_table(again) == blob

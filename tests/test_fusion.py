@@ -192,7 +192,7 @@ class TestRunHybridFusion:
 
     def test_augmented_width_checked(self, small_world):
         cohort, fl_model, _, _, emotions, _ = small_world
-        width = cohort.table.schema.width
+        width = cohort.table.features.shape[1]
         bad = cm.ChurnModel(
             selected_features=(width + 2,),
             params=cm.mlp.init_params((1, 1), 0),

@@ -189,6 +189,13 @@ def cli_workspace(tmp_path_factory):
     return ws, config
 
 
+def copy_trained(ws, dest):
+    """A copy of a workspace's cohort and models, without its reports."""
+    for part in ("data", "models"):
+        shutil.copytree(ws / part, dest / part)
+    return dest
+
+
 def file_hashes(root):
     return {
         p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -226,24 +233,44 @@ class TestCli:
         out = capsys.readouterr().out
         assert "# report_none.txt" in out
 
+    def test_compare_writes_a_table_that_report_prints(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text(SMALL_CONFIG, encoding="utf-8")
+        ws = tmp_path / "ws"
+        run = mock.Mock(wraps=pipeline.run_experiment)
+        monkeypatch.setattr(pipeline, "run_experiment", run)
+        assert run_cli(["compare"], ws, config) == 0
+        # the seed list is the config file's `seeds = 0,1`
+        assert [call.args[0].seed for call in run.call_args_list] == [0, 1]
+        table = (ws / "reports" / "compare.csv").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == table
+        rows = [line.split(",") for line in table.splitlines()]
+        assert rows[0] == ["metric", "none", "late", "hybrid"]
+        assert [row[0] for row in rows[1:]] == list(pipeline.COMPARED)
+        assert {len(row) for row in rows} == {4}
+        assert all(" +/- " in cell for row in rows[1:3] for cell in row[1:])
+        assert run_cli(["report"], ws, config) == 0
+        assert capsys.readouterr().out == "# compare.csv\n" + table
+
     def test_full_rerun_byte_identical(self, cli_workspace, tmp_path, capsys):
         ws, config = cli_workspace
+        # the reference is evaluated here, so no other test's reports are compared
+        ws1 = copy_trained(ws, tmp_path / "ws1")
         ws2 = tmp_path / "ws2"
         assert run_cli(["gen"], ws2, config) == 0
         for modality in ("fl", "ser", "churn"):
             assert run_cli(["train", modality], ws2, config) == 0
         for strategy in pipeline.STRATEGIES:
+            assert run_cli(["evaluate", strategy], ws1, config) == 0
             assert run_cli(["evaluate", strategy], ws2, config) == 0
         capsys.readouterr()
-        assert file_hashes(ws2) == file_hashes(ws)
+        assert file_hashes(ws2) == file_hashes(ws1)
 
     @pytest.mark.parametrize("name", ["fl", "ser", "churn"])
     @pytest.mark.parametrize("size", [5, 40])
     def test_truncated_model_fails_naming_it(self, cli_workspace, tmp_path, capsys, name, size):
         ws, config = cli_workspace
-        cut = tmp_path / "cut"
-        for part in ("data", "models"):
-            shutil.copytree(ws / part, cut / part)
+        cut = copy_trained(ws, tmp_path / "cut")
         blob = cut / "models" / f"{name}.bin"
         blob.write_bytes(blob.read_bytes()[:size])
         assert run_cli(["evaluate", "late"], cut, config) == 1
@@ -253,9 +280,7 @@ class TestCli:
     @pytest.mark.parametrize("name", ["fl", "ser", "churn"])
     def test_model_with_trailing_bytes_fails_naming_it(self, cli_workspace, tmp_path, capsys, name):
         ws, config = cli_workspace
-        padded = tmp_path / "padded"
-        for part in ("data", "models"):
-            shutil.copytree(ws / part, padded / part)
+        padded = copy_trained(ws, tmp_path / "padded")
         blob = padded / "models" / f"{name}.bin"
         blob.write_bytes(blob.read_bytes() + b"junk1234")
         assert run_cli(["evaluate", "late"], padded, config) == 1
@@ -285,15 +310,11 @@ class TestCli:
         assert cli.main(["gen", "--out", str(blocker / "ws"), "--config", str(config)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_threshold_flags_shift_banding(self, cli_workspace, capsys):
-        ws, config = cli_workspace
-        assert (
-            cli.main(
-                ["evaluate", "none", "--out", str(ws), "--config", str(config),
-                 "--threshold-churn", "0.99"]
-            )
-            == 0
-        )
+    def test_churn_threshold_from_config_shifts_banding(self, cli_workspace, tmp_path, capsys):
+        ws, _ = cli_workspace
+        config = tmp_path / "strict.txt"
+        config.write_text(SMALL_CONFIG + "translation.churn_threshold = 0.99\n", encoding="utf-8")
+        assert run_cli(["evaluate", "none"], copy_trained(ws, tmp_path / "ws"), config) == 0
         out = capsys.readouterr().out
         fields = dict(
             line.split("=", 1) for line in out.strip().split("\n") if "=" in line

@@ -5,15 +5,15 @@ that builds the full [n_queries, n_points, d] difference array peaks at
 64-308 MB in these calls at n=4000 and would need ~7.7 GB at n=20,000, so
 n=4000 runs first under the same ceiling.
 
-Feature maps hold a few chunks of clips in flight, whatever the number of
-clips: mapping all 400 one-second clips at once holds about 52 MB.
+The serial map loop makes each clip as it maps it, so it holds one clip
+at a time whatever the number of clips: making all 400 one-second clips
+before mapping them holds about 52 MB.
 """
 
 import dataclasses
 import os
 import tracemalloc
 
-from churnfusion import audio_features
 from churnfusion import churn_model as cm
 from churnfusion import fl_model as flm
 from churnfusion import pipeline, synth
@@ -60,10 +60,9 @@ def test_knn_paths_stay_under_a_fixed_memory_ceiling():
 
 
 def test_emotion_flags_hold_memory_flat_in_the_number_of_clips(monkeypatch):
-    # four usable CPUs and no other thread: four helpers, each making and
-    # mapping the clips of the chunks it is handed
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(audio_features, "_threads", lambda: 1)
+    # one usable CPU: the caller makes and maps every clip itself, under
+    # tracemalloc (helpers would make them where tracemalloc cannot see)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     cfg = pipeline.with_seed(
         pipeline.RunConfig(
             ser_corpus_per_class=1,

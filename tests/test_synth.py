@@ -9,8 +9,8 @@ import pytest
 
 from churnfusion import synth
 from churnfusion.audio_features import hpss_median, stft_magnitude
-from churnfusion.data_model import NEGATIVE_LABELS, TableSchema, serialize_customer_table
-from churnfusion.errors import BadWav, InvalidConfig, InvalidDuration, SchemaMismatch
+from churnfusion.data_model import NEGATIVE_LABELS, serialize_customer_table
+from churnfusion.errors import BadWav, InvalidConfig, SchemaMismatch
 from churnfusion.synth import (
     SynthConfig,
     SyntheticCohort,
@@ -47,9 +47,9 @@ class TestSynthAudio:
         assert perc_share > 0.5
 
     def test_duration_bounds(self):
-        with pytest.raises(InvalidDuration):
+        with pytest.raises(InvalidConfig):
             synth_audio("Anger", 0.1, 0)
-        with pytest.raises(InvalidDuration):
+        with pytest.raises(InvalidConfig):
             synth_audio("Anger", 11.0, 0)
 
     def test_deterministic_per_seed(self):
@@ -151,7 +151,7 @@ class TestCohortIO:
         cohort = generate_cohort(SynthConfig(n_customers=12, seed=2))
         write_cohort(cohort, tmp_path)
         again = read_cohort(tmp_path)
-        assert again.table.schema == cohort.table.schema
+        assert again.table.feature_names == cohort.table.feature_names
         assert again.table.ids == cohort.table.ids
         assert again.risk_tier.tolist() == cohort.risk_tier.tolist()
         assert set(again.audio_clips) == set(cohort.audio_clips)
@@ -177,23 +177,29 @@ class TestCohortIO:
 
     def test_named_feature_columns_round_trip(self, tmp_path):
         base = generate_cohort(SynthConfig(n_customers=6, n_features=2, seed=5))
-        table = dataclasses.replace(base.table, schema=TableSchema(("age", "income")))
         true_fl = base.true_fl.copy()
         true_fl[2] = np.nan  # an unknown true FL is written as an empty cell
-        cohort = SyntheticCohort(table, base.audio_clips, base.risk_tier, true_fl)
-        write_cohort(cohort, tmp_path)
-        assert (tmp_path / "table.csv").read_text(encoding="utf-8").startswith(
-            "id,age,income,fl_label,churn_outcome,audio_ref\n"
-        )
-        again = read_cohort(tmp_path)
-        assert again.table.schema == table.schema
-        assert np.array_equal(again.table.features, table.features)
-        assert again.risk_tier.tolist() == cohort.risk_tier.tolist()
-        assert np.array_equal(again.true_fl, true_fl, equal_nan=True)
-        rewritten = tmp_path / "again"
-        write_cohort(again, rewritten)
-        for name in ("table.csv", "ground_truth.csv", "manifest.csv"):
-            assert (rewritten / name).read_bytes() == (tmp_path / name).read_bytes()
+        # names holding a comma or a quote are quoted in the header
+        for names, header in (
+            (("age", "income"), "id,age,income,"),
+            (("income, net", 'say "hi"'), 'id,"income, net","say ""hi""",'),
+        ):
+            out = tmp_path / names[0]
+            table = dataclasses.replace(base.table, feature_names=names)
+            cohort = SyntheticCohort(table, base.audio_clips, base.risk_tier, true_fl)
+            write_cohort(cohort, out)
+            assert (out / "table.csv").read_text(encoding="utf-8").startswith(
+                header + "fl_label,churn_outcome,audio_ref\n"
+            )
+            again = read_cohort(out)
+            assert again.table.feature_names == names
+            assert np.array_equal(again.table.features, table.features)
+            assert again.risk_tier.tolist() == cohort.risk_tier.tolist()
+            assert np.array_equal(again.true_fl, true_fl, equal_nan=True)
+            rewritten = out / "again"
+            write_cohort(again, rewritten)
+            for name in ("table.csv", "ground_truth.csv", "manifest.csv"):
+                assert (rewritten / name).read_bytes() == (out / name).read_bytes()
 
     def test_truth_needs_one_entry_per_row(self):
         cohort = generate_cohort(SynthConfig(n_customers=5, seed=1))
