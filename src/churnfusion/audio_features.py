@@ -8,6 +8,7 @@ complementary soft masks, Mel-filterbank projection, and a compact
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -90,6 +91,10 @@ class FeatureParams:
     kernel_time: int = 17
     kernel_freq: int = 17
     standardize: bool = True
+
+    def __post_init__(self):
+        if not 0.0 <= self.f_min < self.f_max < math.inf:
+            raise BadBand(f"need finite 0 <= f_min < f_max, got [{self.f_min}, {self.f_max}]")
 
 
 def stft_magnitude(clip: AudioClip, frame_size: int = 1024, hop_size: int = 256) -> Spectrogram:

@@ -7,12 +7,13 @@ interpolation, then a small MLP emitting churn propensity in (0, 1).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import mlp
+from . import blob, mlp
 from .errors import DegenerateData, InvalidConfig, MissingModality, ShapeMismatch, TooFewExamples
 from .neighbors import nearest
 
@@ -34,6 +35,9 @@ class ChurnModel:
         idx = tuple(int(i) for i in self.selected_features)
         if len(set(idx)) != len(idx) or any(i < 0 for i in idx):
             raise ValueError("selected_features must be unique non-negative indices")
+        std = np.asarray(self.norm_std)
+        if not (np.isfinite(self.norm_mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise ValueError("norm_mean must be finite and norm_std finite and positive")
         self.selected_features = idx
 
 
@@ -114,6 +118,12 @@ class SmoteParams:
     ratio: float = 1.0
     k: int = 5
 
+    def __post_init__(self):
+        if not 0.0 < self.ratio < math.inf:
+            raise InvalidConfig("smote ratio must be finite and positive")
+        if self.k < 1:
+            raise InvalidConfig("smote k must be >= 1")
+
 
 def train_churn(
     X: np.ndarray,
@@ -157,33 +167,17 @@ def predict_churn_batch(model: ChurnModel, X: np.ndarray) -> np.ndarray:
 
 
 def save_churn_model(model: ChurnModel) -> bytes:
-    head = MAGIC + struct.pack("<H", VERSION)
-    sel = struct.pack("<I", len(model.selected_features)) + struct.pack(
-        f"<{len(model.selected_features)}I", *model.selected_features
-    )
-    norms = (
-        np.ascontiguousarray(model.norm_mean, dtype="<f8").tobytes()
-        + np.ascontiguousarray(model.norm_std, dtype="<f8").tobytes()
-    )
-    return head + sel + norms + mlp.pack_params(model.params)
+    n_sel = len(model.selected_features)
+    sel = struct.pack(f"<I{n_sel}I", n_sel, *model.selected_features)
+    norms = blob.floats(model.norm_mean) + blob.floats(model.norm_std)
+    return blob.header(MAGIC, VERSION) + sel + norms + mlp.pack_params(model.params)
 
 
-def load_churn_model(blob: bytes) -> ChurnModel:
-    if blob[:4] != MAGIC:
-        raise ValueError("not a churn model file")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != VERSION:
-        raise ValueError(f"unsupported model version {version}")
-    offset = 6
-    (n_sel,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    selected = struct.unpack_from(f"<{n_sel}I", blob, offset)
-    offset += 4 * n_sel
-    mean = np.frombuffer(blob, dtype="<f8", count=n_sel, offset=offset).copy()
-    offset += 8 * n_sel
-    std = np.frombuffer(blob, dtype="<f8", count=n_sel, offset=offset).copy()
-    offset += 8 * n_sel
-    params, end = mlp.unpack_params(blob, offset)
-    if end != len(blob):
-        raise ValueError(f"{len(blob) - end} bytes past the end of the model")
+def load_churn_model(data: bytes) -> ChurnModel:
+    reader = blob.Reader(data, MAGIC, VERSION, "churn")
+    (n_sel,) = reader.unpack("<I")
+    selected = reader.unpack(f"<{n_sel}I")
+    mean, std = reader.floats(n_sel), reader.floats(n_sel)
+    params = mlp.unpack_params(reader)
+    reader.end()
     return ChurnModel(selected_features=selected, params=params, norm_mean=mean, norm_std=std)

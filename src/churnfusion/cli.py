@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import struct
 import sys
 from pathlib import Path
 
@@ -79,7 +78,7 @@ def _stored_model(model_dir: Path, split: pipeline.Split, name: str):
         raise MissingModality(f"missing {name} model at {path}; run 'train {name}'")
     try:
         return BLOBS[name][1](path.read_bytes())
-    except (struct.error, ValueError) as exc:  # a cut or foreign blob
+    except ValueError as exc:  # a cut, foreign or overlong blob
         raise ValueError(f"unreadable {name} model at {path}: {exc}") from exc
 
 

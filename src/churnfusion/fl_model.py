@@ -9,11 +9,13 @@ score is the clipped mean of both learners, in [0, 1].
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blob
 from .errors import ShapeMismatch, TargetOutOfRange, TooFewExamples
 from .neighbors import join_leave_one_out, nearest
 
@@ -34,10 +36,17 @@ class SmognConfig:
             raise ValueError("relevance_threshold must lie in (0, 1)")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
-        if self.gaussian_perturbation < 0:
-            raise ValueError("gaussian_perturbation must be non-negative")
-        if self.oversample_ratio <= 0:
-            raise ValueError("oversample_ratio must be positive")
+        if not 0.0 <= self.gaussian_perturbation < math.inf:
+            raise ValueError("gaussian_perturbation must be finite and non-negative")
+        if not 0.0 < self.oversample_ratio < math.inf:
+            raise ValueError("oversample_ratio must be finite and positive")
+
+
+def _check_learner(k: int, p: float) -> None:
+    if k < 1:
+        raise ValueError("neighbor counts must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"Minkowski p must be finite and >= 1, got {p}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +61,8 @@ class CoregConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k1 < 1 or self.k2 < 1:
-            raise ValueError("neighbor counts must be >= 1")
+        _check_learner(self.k1, self.p1)
+        _check_learner(self.k2, self.p2)
         if (self.k1, self.p1) == (self.k2, self.p2):
             raise ValueError("the two learners must differ in (k, p)")
         if self.max_iterations < 1 or self.pool_size < 1 or self.batch_per_iter < 1:
@@ -74,6 +83,9 @@ class KNNRegressor:
         self.y = np.asarray(self.y, dtype=np.float64)
         if self.X.ndim != 2 or self.X.shape[0] != self.y.size:
             raise ValueError("X must be [n, d] with matching targets")
+        if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
+            raise ValueError("training points and targets must be finite")
+        _check_learner(self.k, self.p)
 
     def predict(self, queries: np.ndarray) -> np.ndarray:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -232,40 +244,22 @@ def predict_fl_batch(model: FLModel, X: np.ndarray) -> np.ndarray:
 
 def _pack_learner(learner: KNNRegressor) -> bytes:
     m, d = learner.X.shape
-    return (
-        struct.pack("<IIId", m, d, learner.k, learner.p)
-        + np.ascontiguousarray(learner.X, dtype="<f8").tobytes()
-        + np.ascontiguousarray(learner.y, dtype="<f8").tobytes()
-    )
+    head = struct.pack("<IIId", m, d, learner.k, learner.p)
+    return head + blob.floats(learner.X) + blob.floats(learner.y)
 
 
-def _unpack_learner(blob: bytes, offset: int) -> tuple[KNNRegressor, int]:
-    m, d, k, p = struct.unpack_from("<IIId", blob, offset)
-    offset += struct.calcsize("<IIId")
-    X = np.frombuffer(blob, dtype="<f8", count=m * d, offset=offset).reshape(m, d).copy()
-    offset += 8 * m * d
-    y = np.frombuffer(blob, dtype="<f8", count=m, offset=offset).copy()
-    offset += 8 * m
-    return KNNRegressor(X, y, k, p), offset
+def _read_learner(reader: blob.Reader) -> KNNRegressor:
+    m, d, k, p = reader.unpack("<IIId")
+    return KNNRegressor(reader.floats(m, d), reader.floats(m), k, p)
 
 
 def save_fl_model(model: FLModel) -> bytes:
-    return (
-        MAGIC
-        + struct.pack("<H", VERSION)
-        + _pack_learner(model.learner1)
-        + _pack_learner(model.learner2)
-    )
+    learners = _pack_learner(model.learner1) + _pack_learner(model.learner2)
+    return blob.header(MAGIC, VERSION) + learners
 
 
-def load_fl_model(blob: bytes) -> FLModel:
-    if blob[:4] != MAGIC:
-        raise ValueError("not a financial-literacy model file")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != VERSION:
-        raise ValueError(f"unsupported model version {version}")
-    learner1, offset = _unpack_learner(blob, 6)
-    learner2, end = _unpack_learner(blob, offset)
-    if end != len(blob):
-        raise ValueError(f"{len(blob) - end} bytes past the end of the model")
+def load_fl_model(data: bytes) -> FLModel:
+    reader = blob.Reader(data, MAGIC, VERSION, "financial-literacy")
+    learner1, learner2 = _read_learner(reader), _read_learner(reader)
+    reader.end()
     return FLModel(learner1=learner1, learner2=learner2)

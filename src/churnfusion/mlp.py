@@ -7,11 +7,13 @@ numpy so analytic gradients can be checked against finite differences.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blob
 from .errors import ShapeMismatch
 
 
@@ -24,14 +26,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be non-negative")
+        if not 0.0 <= self.l2_penalty < math.inf:
+            raise ValueError("l2_penalty must be finite and non-negative")
 
 
 @dataclass
@@ -44,6 +46,8 @@ class MLPParams:
 
     def __post_init__(self):
         self.layer_dims = tuple(int(d) for d in self.layer_dims)
+        if len(self.layer_dims) < 2 or self.layer_dims[-1] != 1:
+            raise ValueError(f"layer_dims {self.layer_dims} must end in one output unit")
         if len(self.weights) != len(self.layer_dims) - 1:
             raise ValueError("one weight matrix per layer transition required")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -152,25 +156,18 @@ def train(
 
 def pack_params(params: MLPParams) -> bytes:
     """Little-endian blob: n_layers u16, dims u32..., float64 weights/biases."""
-    parts = [struct.pack("<H", len(params.layer_dims))]
-    parts.append(struct.pack(f"<{len(params.layer_dims)}I", *params.layer_dims))
+    dims = params.layer_dims
+    parts = [struct.pack(f"<H{len(dims)}I", len(dims), *dims)]
     for w, b in zip(params.weights, params.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        parts += [blob.floats(w), blob.floats(b)]
     return b"".join(parts)
 
 
-def unpack_params(blob: bytes, offset: int = 0) -> tuple[MLPParams, int]:
-    (n_layers,) = struct.unpack_from("<H", blob, offset)
-    offset += 2
-    dims = struct.unpack_from(f"<{n_layers}I", blob, offset)
-    offset += 4 * n_layers
+def unpack_params(reader: blob.Reader) -> MLPParams:
+    (n_layers,) = reader.unpack("<H")
+    dims = reader.unpack(f"<{n_layers}I")
     weights, biases = [], []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
-        w = np.frombuffer(blob, dtype="<f8", count=d_in * d_out, offset=offset).reshape(d_in, d_out)
-        offset += 8 * d_in * d_out
-        b = np.frombuffer(blob, dtype="<f8", count=d_out, offset=offset)
-        offset += 8 * d_out
-        weights.append(w.copy())
-        biases.append(b.copy())
-    return MLPParams(dims, weights, biases), offset
+        weights.append(reader.floats(d_in, d_out))
+        biases.append(reader.floats(d_out))
+    return MLPParams(dims, weights, biases)

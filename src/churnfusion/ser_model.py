@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mlp
+from . import blob, mlp
 from .audio_features import FeatureMap
 from .errors import DegenerateData, ShapeMismatch
 
@@ -26,10 +26,6 @@ class EmotionModel:
     params: mlp.MLPParams
     n_mels: int
     final_loss: float = 0.0
-
-    @property
-    def input_dim(self) -> int:
-        return 3 * self.n_mels
 
 
 def _flatten(maps: list[FeatureMap]) -> np.ndarray:
@@ -71,16 +67,13 @@ def predict_emotion(model: EmotionModel, feature_map: FeatureMap) -> int:
 
 
 def save_emotion_model(model: EmotionModel) -> bytes:
-    return MAGIC + struct.pack("<HI", VERSION, model.n_mels) + mlp.pack_params(model.params)
+    head = blob.header(MAGIC, VERSION) + struct.pack("<I", model.n_mels)
+    return head + mlp.pack_params(model.params)
 
 
-def load_emotion_model(blob: bytes) -> EmotionModel:
-    if blob[:4] != MAGIC:
-        raise ValueError("not an emotion model file")
-    version, n_mels = struct.unpack_from("<HI", blob, 4)
-    if version != VERSION:
-        raise ValueError(f"unsupported model version {version}")
-    params, end = mlp.unpack_params(blob, 4 + struct.calcsize("<HI"))
-    if end != len(blob):
-        raise ValueError(f"{len(blob) - end} bytes past the end of the model")
+def load_emotion_model(data: bytes) -> EmotionModel:
+    reader = blob.Reader(data, MAGIC, VERSION, "speech-emotion")
+    (n_mels,) = reader.unpack("<I")
+    params = mlp.unpack_params(reader)
+    reader.end()
     return EmotionModel(params=params, n_mels=n_mels)

@@ -9,6 +9,7 @@ modality is an imperfect, partly independent view of the same tier.
 
 from __future__ import annotations
 
+import csv
 import io
 import wave
 from collections.abc import Callable, Iterator, Mapping
@@ -266,21 +267,32 @@ def _read_wav(path: Path) -> AudioClip:
     return wav_bytes_to_clip(path.read_bytes(), str(path))
 
 
+def _write_csv(path: Path, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+
+
+def _csv_body(path: Path) -> list[list[str]]:
+    """The rows of a CSV file after its header."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return list(csv.reader(f))[1:]
+
+
 def write_cohort(cohort: SyntheticCohort, out_dir: str | Path) -> None:
     """table.csv + audio/*.wav + manifest.csv + ground_truth.csv."""
     out = Path(out_dir)
     (out / "audio").mkdir(parents=True, exist_ok=True)
     (out / "table.csv").write_bytes(serialize_customer_table(cohort.table))
-    manifest = ["id,audio_path"]
+    manifest = [("id", "audio_path")]
     for cid, ref in zip(cohort.table.ids, cohort.table.audio_ref):
         if ref is not None:
             (out / "audio" / ref).write_bytes(clip_to_wav_bytes(cohort.audio_clips[ref]))
-            manifest.append(f"{cid},audio/{ref}")
-    (out / "manifest.csv").write_text("\n".join(manifest) + "\n", encoding="utf-8")
-    truth_lines = ["id,risk_tier,true_fl"]
+            manifest.append((cid, f"audio/{ref}"))
+    _write_csv(out / "manifest.csv", manifest)
+    truth = [("id", "risk_tier", "true_fl")]
     for cid, tier, fl in zip(cohort.table.ids, cohort.risk_tier, cohort.true_fl.tolist()):
-        truth_lines.append(f"{cid},{tier},{'' if np.isnan(fl) else fl}")
-    (out / "ground_truth.csv").write_text("\n".join(truth_lines) + "\n", encoding="utf-8")
+        truth.append((cid, tier, "" if np.isnan(fl) else fl))
+    _write_csv(out / "ground_truth.csv", truth)
 
 
 def read_cohort(in_dir: str | Path) -> SyntheticCohort:
@@ -288,12 +300,10 @@ def read_cohort(in_dir: str | Path) -> SyntheticCohort:
     src = Path(in_dir)
     table = parse_customer_table((src / "table.csv").read_bytes())
     clips = {}
-    for line in (src / "manifest.csv").read_text(encoding="utf-8").splitlines()[1:]:
-        cid, path = line.split(",", 1)
+    for _, path in _csv_body(src / "manifest.csv"):
         clips[Path(path).name] = partial(_read_wav, src / path)
     tier_of, fl_of = {}, {}
-    for line in (src / "ground_truth.csv").read_text(encoding="utf-8").splitlines()[1:]:
-        cid, tier, fl = line.split(",")
+    for cid, tier, fl in _csv_body(src / "ground_truth.csv"):
         tier_of[cid] = tier
         fl_of[cid] = float(fl) if fl else np.nan
     missing = [cid for cid in table.ids if cid not in tier_of]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from churnfusion import mlp
+from churnfusion import blob, mlp
 from churnfusion.errors import ShapeMismatch
 from reference import numerical_gradient
 
@@ -81,10 +81,11 @@ def test_shape_mismatch():
 
 def test_pack_unpack_round_trip():
     params = mlp.init_params((5, 4, 1), 11)
-    blob = mlp.pack_params(params)
-    again, consumed = mlp.unpack_params(blob)
-    assert consumed == len(blob)
+    packed = mlp.pack_params(params)
+    reader = blob.Reader(blob.header(b"TEST", 1) + packed, b"TEST", 1, "test")
+    again = mlp.unpack_params(reader)
+    reader.end()
     assert again.layer_dims == params.layer_dims
     for wa, wb in zip(again.weights, params.weights):
         assert np.array_equal(wa, wb)
-    assert mlp.pack_params(again) == blob
+    assert mlp.pack_params(again) == packed

@@ -10,7 +10,7 @@ import pytest
 
 from churnfusion import audio_features, cli, metrics, pipeline, synth
 from churnfusion.audio_features import AudioClip
-from churnfusion.errors import InvalidConfig, MissingModality
+from churnfusion.errors import ChurnFusionError, InvalidConfig, MissingModality
 from churnfusion.synth import SynthConfig, generate_cohort
 
 SMALL_CONFIG = """
@@ -27,6 +27,20 @@ coreg.max_iterations = 2
 churn_train.epochs = 25
 ser_train.epochs = 25
 """
+
+
+def _float_keys() -> list[str]:
+    """Every config key whose default value is a float."""
+    cfg, keys = pipeline.RunConfig(), []
+    for top in dataclasses.fields(cfg):
+        value = getattr(cfg, top.name)
+        if isinstance(value, float):
+            keys.append(top.name)
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                if isinstance(getattr(value, f.name), float):
+                    keys.append(f"{top.name}.{f.name}")
+    return keys
 
 
 class TestParseConfig:
@@ -73,6 +87,19 @@ class TestParseConfig:
             pipeline.parse_config_text("test_fraction = 1.5")
         with pytest.raises(InvalidConfig):
             pipeline.parse_config_text("seeds = ")
+        # accepted before, then train churn failed with numpy's "high <= 0"
+        with pytest.raises(InvalidConfig, match="smote k"):
+            pipeline.parse_config_text("smote.k = 0")
+        # a Minkowski exponent below 1 used to divide by zero in train fl
+        for key in ("coreg.p1", "coreg.p2"):
+            with pytest.raises(ValueError, match="Minkowski p"):
+                pipeline.parse_config_text(f"{key} = 0")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", _float_keys())
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises((ValueError, ChurnFusionError)):
+            pipeline.parse_config_text(f"{key} = {value}")
 
 
 class TestSplitTable:

@@ -201,6 +201,20 @@ class TestCohortIO:
             for name in ("table.csv", "ground_truth.csv", "manifest.csv"):
                 assert (rewritten / name).read_bytes() == (out / name).read_bytes()
 
+    def test_ids_holding_a_comma_or_quote_round_trip(self, tmp_path):
+        base = generate_cohort(SynthConfig(n_customers=3, seed=5))
+        ids = ("a,1", 'b"2', "c3")
+        table = dataclasses.replace(base.table, ids=ids)
+        cohort = SyntheticCohort(table, base.audio_clips, base.risk_tier, base.true_fl)
+        write_cohort(cohort, tmp_path)
+        manifest = (tmp_path / "manifest.csv").read_text(encoding="utf-8")
+        assert manifest.splitlines()[1:3] == ['"a,1",audio/c00000.wav', '"b""2",audio/c00001.wav']
+        again = read_cohort(tmp_path)
+        assert again.table.ids == ids
+        assert again.risk_tier.tolist() == cohort.risk_tier.tolist()
+        assert np.array_equal(again.true_fl, cohort.true_fl, equal_nan=True)
+        assert set(again.audio_clips) == set(cohort.audio_clips)
+
     def test_truth_needs_one_entry_per_row(self):
         cohort = generate_cohort(SynthConfig(n_customers=5, seed=1))
         with pytest.raises(SchemaMismatch, match="risk_tier"):
