@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ChurnFusionError, OSError, ValueError) as exc:
+    except (ChurnFusionError, OSError, ValueError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

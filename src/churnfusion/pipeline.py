@@ -160,26 +160,13 @@ def train_churn_baseline(train_table: CustomerTable, cfg: RunConfig) -> cm.Churn
     )
 
 
-@dataclass(frozen=True)
-class _RowClips:
-    """Row i's clip, `clips[refs[i]]`, made only when row i is indexed."""
-
-    clips: object  # ref -> clip mapping
-    refs: tuple
-
-    def __len__(self):
-        return len(self.refs)
-
-    def __getitem__(self, i):
-        return self.clips[self.refs[i]]
-
-
 def compute_emotions(table, clips, ser, cfg: RunConfig) -> np.ndarray:
     """Negative-emotion flag (0/1) per row, from the clip its audio_ref names."""
     missing = [cid for cid, ref in zip(table.ids, table.audio_ref) if ref not in clips]
     if missing:
         raise MissingModality(f"{len(missing)} customers have no audio clip, first {missing[0]!r}")
-    maps = build_feature_maps(_RowClips(clips, table.audio_ref), cfg.features)
+    row_clips = synth.LazySequence(clips.__getitem__, table.audio_ref)
+    maps = build_feature_maps(row_clips, cfg.features)
     return np.array([serm.predict_emotion(ser, m) for m in maps], dtype=int)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import wave
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -83,6 +83,27 @@ class LazyClips(Mapping):
 
     def __len__(self) -> int:
         return len(self._makers)
+
+
+class LazySequence(Sequence):
+    """Read-only sequence whose item i is `make(keys[i])`, made each time i is indexed.
+
+    Like `LazyClips` it keeps no item, so `len` makes none and a caller
+    that maps item after item holds one at a time. Joined with a list it
+    gives a list of the made items.
+    """
+
+    def __init__(self, make: Callable, keys):
+        self._make, self._keys = make, tuple(keys)
+
+    def __getitem__(self, i: int):
+        return self._make(self._keys[i])
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __add__(self, other) -> list:
+        return [*self, *other]
 
 
 @dataclass(frozen=True)
@@ -221,21 +242,23 @@ def generate_cohort(config: SynthConfig) -> SyntheticCohort:
 
 def generate_ser_corpus(
     n_per_class: int = 40, duration_s: float = 1.0, seed: int = 0
-) -> tuple[list[AudioClip], list[int]]:
+) -> tuple[LazySequence, list[int]]:
     """Labeled emotion clips for training the speech classifier.
 
     Stands in for an external labeled emotion corpus; the cohort's own
-    clips stay unlabeled from the model's point of view.
+    clips stay unlabeled from the model's point of view. Clip i is
+    synthesized each time it is indexed, so building the corpus makes none.
     """
     if n_per_class < 1:
         raise InvalidConfig("n_per_class must be positive")
-    clips, labels = [], []
     all_labels = POSITIVE_LABELS + NEGATIVE_LABELS
-    for rep in range(n_per_class):
-        for li, label in enumerate(all_labels):
-            clips.append(synth_audio(label, duration_s, [seed, 7919, rep, li]))
-            labels.append(map_emotion_to_binary(label))
-    return clips, labels
+    keys = [
+        (label, [seed, 7919, rep, li])
+        for rep in range(n_per_class)
+        for li, label in enumerate(all_labels)
+    ]
+    labels = [map_emotion_to_binary(label) for label, _ in keys]
+    return LazySequence(lambda key: synth_audio(key[0], duration_s, key[1]), keys), labels
 
 
 def clip_to_wav_bytes(clip: AudioClip) -> bytes:

@@ -117,3 +117,47 @@ def test_a_helper_that_dies_breaks_the_pool_rather_than_hanging(tmp_path):
         timeout=60,
     )
     assert out == {"raised": "BrokenProcessPool", "children": 0}
+
+
+def test_a_helper_that_dies_in_train_ser_ends_the_command_with_an_error(tmp_path):
+    (tmp_path / "config.txt").write_text(
+        "synth.n_customers = 20\nsynth.clip_duration_s = 0.5\nser_corpus_per_class = 4\n"
+        "ser_train.epochs = 1\n",
+        encoding="utf-8",
+    )
+    out = run_fresh(
+        """
+        import contextlib, io, json, multiprocessing, os
+
+        from churnfusion import audio_features as af
+        from churnfusion import cli, synth
+
+        args = ["--out", "ws", "--config", "config.txt"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            gen = cli.main(["gen", *args])
+        os.sched_getaffinity = lambda pid: {0, 1}
+        af._threads = lambda: 1
+        caller, make = os.getpid(), synth.synth_audio
+
+        def dies_in_a_helper(*a):
+            if os.getpid() != caller:
+                os._exit(3)  # as an OOM kill or a segfault would end it
+            return make(*a)
+
+        synth.synth_audio = dies_in_a_helper
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["train", "ser", *args])
+        print(json.dumps({
+            "gen": gen, "code": code, "stderr": err.getvalue(),
+            "children": len(multiprocessing.active_children()),
+            "model": os.path.exists("ws/models/ser.bin"),
+        }))
+        """,
+        tmp_path,
+        timeout=120,
+    )
+    assert out["stderr"].startswith("error: "), out["stderr"]
+    assert {k: out[k] for k in ("gen", "code", "children", "model")} == {
+        "gen": 0, "code": 1, "children": 0, "model": False,
+    }

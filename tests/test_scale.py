@@ -6,8 +6,10 @@ that builds the full [n_queries, n_points, d] difference array peaks at
 n=4000 runs first under the same ceiling.
 
 The serial map loop makes each clip as it maps it, so it holds one clip
-at a time whatever the number of clips: making all 400 one-second clips
-before mapping them holds about 52 MB.
+at a time whatever the number of clips or their length: making all 400
+one-second clips before mapping them holds about 52 MB, and making the
+160-clip SER corpus before mapping it holds 22 MB at 1 s clips and 44 MB
+at 2 s.
 """
 
 import dataclasses
@@ -78,4 +80,20 @@ def test_emotion_flags_hold_memory_flat_in_the_number_of_clips(monkeypatch):
         peaks[n] = traced_peak_mb(
             lambda: pipeline.compute_emotions(cohort.table, cohort.audio_clips, ser, cfg)
         )
+    assert max(peaks.values()) < CEILING_MB, peaks
+
+
+def test_ser_training_holds_memory_flat_in_clip_length(monkeypatch):
+    # one usable CPU, as above: the caller makes and maps every corpus clip
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    peaks = {}
+    for seconds in (1.0, 2.0):
+        cfg = pipeline.with_seed(
+            pipeline.RunConfig(
+                ser_train=TrainConfig(epochs=1),
+                synth=synth.SynthConfig(clip_duration_s=seconds),
+            ),
+            0,
+        )
+        peaks[seconds] = traced_peak_mb(lambda: pipeline.train_ser(cfg))
     assert max(peaks.values()) < CEILING_MB, peaks

@@ -139,6 +139,23 @@ class TestSerCorpus:
         for x, y in zip(a, b):
             assert np.array_equal(x.samples, y.samples)
 
+    def test_building_makes_no_clip_and_each_index_makes_one(self, monkeypatch):
+        made = mock.Mock(wraps=synth.synth_audio)
+        monkeypatch.setattr(synth, "synth_audio", made)
+        clips, labels = generate_ser_corpus(3, 0.5, 2)
+        assert len(clips) == len(labels) == 4 * 3
+        assert made.call_count == 0
+        for i in range(len(clips)):
+            first = clips[i]
+            assert made.call_count == 2 * i + 1
+            assert np.array_equal(clips[i].samples, first.samples)
+        with pytest.raises(IndexError):
+            clips[len(clips)]
+        # a list joined on, as the golden map tests do, gives a list
+        joined = clips + [first]
+        assert type(joined) is list and len(joined) == 13 and joined[-1] is first
+        assert np.array_equal(joined[0].samples, clips[0].samples)
+
 
 class TestCohortIO:
     def test_wav_round_trip(self):
