@@ -1,8 +1,9 @@
 """Acoustic front end for emotion scoring.
 
 Magnitude spectrogram, median-filter harmonic/percussive separation with
-complementary soft masks, Mel-filterbank projection, and a compact
-[3 x n_mels] feature map (harmonic / percussive / overall mean log-Mel).
+complementary soft masks (Fitzgerald, DAFx 2010), Mel-filterbank projection,
+and a compact [3 x n_mels] feature map (harmonic / percussive / overall mean
+log-Mel). The medians are exact, from a numpy min/max sorting network.
 `build_feature_maps` maps many clips on every CPU the process may use.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,6 +24,7 @@ from .errors import BadBand, ClipTooShort, InvalidConfig
 
 EPS = 1e-10
 CHUNK_CLIPS = 8  # clips per batch that one process maps
+MEDIAN_BLOCK = 1 << 14  # samples per sorted run in one block of `_median_along`
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,15 @@ class FeatureParams:
     def __post_init__(self):
         if not 0.0 <= self.f_min < self.f_max < math.inf:
             raise BadBand(f"need finite 0 <= f_min < f_max, got [{self.f_min}, {self.f_max}]")
+        if self.n_mels < 4:
+            raise BadBand(f"n_mels must be >= 4, got {self.n_mels}")
+        if self.frame_size < 2 or self.frame_size & (self.frame_size - 1):
+            raise InvalidConfig(f"frame_size {self.frame_size} is not a power of two")
+        if not 0 < self.hop_size <= self.frame_size:
+            raise InvalidConfig(f"hop_size {self.hop_size} outside (0, frame_size]")
+        for name, k in (("kernel_time", self.kernel_time), ("kernel_freq", self.kernel_freq)):
+            if k < 3 or k % 2 == 0:
+                raise InvalidConfig(f"{name} must be an odd integer >= 3, got {k}")
 
 
 def stft_magnitude(clip: AudioClip, frame_size: int = 1024, hop_size: int = 256) -> Spectrogram:
@@ -102,10 +114,7 @@ def stft_magnitude(clip: AudioClip, frame_size: int = 1024, hop_size: int = 256)
 
     Frame count is floor((len - frame_size)/hop) + 1; no padding.
     """
-    if frame_size < 2 or frame_size & (frame_size - 1):
-        raise InvalidConfig(f"frame_size {frame_size} is not a power of two")
-    if not 0 < hop_size <= frame_size:
-        raise InvalidConfig(f"hop_size {hop_size} outside (0, frame_size]")
+    FeatureParams(frame_size=frame_size, hop_size=hop_size)  # checks them
     n = clip.samples.size
     if n < frame_size:
         raise ClipTooShort(f"clip of {n} samples shorter than frame_size {frame_size}")
@@ -115,31 +124,68 @@ def stft_magnitude(clip: AudioClip, frame_size: int = 1024, hop_size: int = 256)
     return Spectrogram(mags, frame_size=frame_size, hop_size=hop_size, sample_rate=clip.sample_rate)
 
 
-def _check_kernel(k: int, name: str) -> None:
-    if k < 3 or k % 2 == 0:
-        raise InvalidConfig(f"{name} must be an odd integer >= 3, got {k}")
+@lru_cache(maxsize=16)
+def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Comparators (i < j) of Batcher's merge-exchange sort on n wires (TAOCP 5.2.2 M)."""
+    pairs = []
+    t = max(1, (n - 1).bit_length())
+    p = 1 << (t - 1)
+    while p:
+        q, r, d = 1 << (t - 1), 0, p
+        while d:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=64)
+def _median_plan(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows `_median_along` gathers: column s of `runs` holds the h rows of run s
+    (the first runs of all window pairs, then, for odd h, their second runs; for
+    even h, pair q's second run is pair q + h/2's first), and `ends[q]` the two
+    rows that only one window of pair q holds."""
+    p = -(-n // 2)
+    t = np.arange(-h, n + h + 1) % (2 * n)
+    sym = np.minimum(t, 2 * n - 1 - t)  # padded position -> row, numpy's "symmetric" padding
+    starts = np.arange(1, 2 * p + h, 2) if h % 2 == 0 else np.r_[1 : 2 * p : 2, h + 1 : h + 2 * p : 2]
+    return sym[starts + np.arange(h)[:, None]], sym[2 * np.arange(p)[:, None] + [0, 2 * h + 1]]
 
 
 def _median_along(x: np.ndarray, k: int, axis: int) -> np.ndarray:
     """Median of width k along one axis of a 2-D array, mode "reflect".
 
-    Each row along the axis is padded by k//2 with numpy's "symmetric"
-    mode (ndimage's "reflect"), the padded rows are joined into one line,
-    and one 1-D `median_filter` call runs over it; every kept window lies
-    inside its own padded row. The 1-D path is a running-rank filter, far
-    cheaper than the N-D selection a (1, k) or (k, 1) footprint takes, and
-    equal to it bit for bit except on a length-2 axis, where scipy's N-D
-    filter returns values from outside the row.
+    Windows 2q and 2q + 1 of the padded axis share 2h samples (h = k//2) and
+    add one each, a, so their medians are min(max(a, lo), hi), where lo and
+    hi are the shared samples' h-th and (h+1)-th smallest: the largest
+    minimum and smallest maximum of one sorted run of h against the other
+    reversed (Batcher's bitonic split). A sorting network sorts the runs,
+    each once. Every step is a numpy minimum or maximum, so every median is
+    a sample of its window; a block of columns holds about MEDIAN_BLOCK
+    samples per run, which bounds memory and keeps long clips in cache.
     """
-    from scipy.ndimage import median_filter
-
-    rows = x if axis == 1 else x.T
-    n = rows.shape[1]
-    half = k // 2
-    padded = np.pad(rows, ((0, 0), (half, half)), mode="symmetric")
-    line = median_filter(padded.ravel(), size=k, mode="reflect")
-    out = line.reshape(padded.shape)[:, half : half + n]
-    return out if axis == 1 else out.T
+    h = k // 2
+    rows = x.T if axis == 1 else x  # the windows run down axis 0 of rows
+    n, m = rows.shape
+    runs, ends = _median_plan(n, h)
+    p = len(ends)  # window pairs
+    out = np.empty((p, 2, m))
+    step = max(1, MEDIAN_BLOCK // runs.shape[1])
+    for c in range(0, m, step):
+        cols = rows[:, c : c + step]
+        w, spare = list(cols[runs]), np.empty((runs.shape[1], cols.shape[1]))
+        for i, j in _sorting_network(h):
+            w[i], spare = np.minimum(w[i], w[j], out=spare), w[i]
+            np.maximum(spare, w[j], out=w[j])
+        first, second = [r[:p] for r in w], [r[-p:] for r in w[::-1]]
+        lo, hi = np.minimum(first[0], second[0]), np.maximum(first[0], second[0])
+        for a, b in zip(first[1:], second[1:]):
+            np.maximum(lo, np.minimum(a, b, out=spare[:p]), out=lo)
+            np.minimum(hi, np.maximum(a, b, out=spare[:p]), out=hi)
+        block = out[:, :, c : c + step]
+        np.minimum(np.maximum(cols[ends], lo[:, None], out=block), hi[:, None], out=block)
+    out = out.reshape(2 * p, m)[:n]
+    return out if axis == 0 else out.T
 
 
 def hpss_median(
@@ -150,11 +196,10 @@ def hpss_median(
     Median filtering along time enhances sustained (harmonic) energy,
     along frequency enhances transient (percussive) energy; the enhanced
     magnitudes drive complementary soft masks, so the two outputs sum to
-    the input elementwise. Each direction is one 1-D running-median pass
+    the input elementwise. Each direction is one exact median pass
     (`_median_along`) with mode "reflect" edges.
     """
-    _check_kernel(kernel_time, "kernel_time")
-    _check_kernel(kernel_freq, "kernel_freq")
+    FeatureParams(kernel_time=kernel_time, kernel_freq=kernel_freq)  # checks them
     mags = spec.magnitudes
     harm_enh = _median_along(mags, kernel_time, axis=1)
     perc_enh = _median_along(mags, kernel_freq, axis=0)
@@ -183,8 +228,7 @@ def mel_filterbank(
     """Triangular filterbank on the HTK Mel scale, shape [n_mels, n_bins]."""
     if not 0 <= f_min < f_max <= sample_rate / 2:
         raise BadBand(f"need 0 <= f_min < f_max <= sr/2, got [{f_min}, {f_max}]")
-    if n_mels < 4:
-        raise BadBand(f"n_mels must be >= 4, got {n_mels}")
+    FeatureParams(n_mels=n_mels)  # checks it
     edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
     bin_freqs = np.arange(n_bins) * sample_rate / frame_size
     fb = np.zeros((n_mels, n_bins))
@@ -259,33 +303,26 @@ def _threads() -> int:
 def build_feature_maps(clips, params: FeatureParams = FeatureParams()) -> list[FeatureMap]:
     """`[build_feature_map(clips[i], params) for i in range(len(clips))]`, on every usable CPU.
 
-    `clips` is any sequence: `len` and integer indexing, where indexing may
-    make the clip (read a WAV, say). The maps come back in order and bit for
-    bit as the serial loop makes them, and the error raised is the one the
-    serial loop would meet first, whether making or mapping a clip raised it.
-    The call forks one helper per usable CPU, at most one per chunk of
-    CHUNK_CLIPS clips. Each helper makes and maps the clips of the chunks it
-    is handed, so only chunk start indices and maps cross between processes,
-    and the caller makes no clip. `Executor.map` hands the chunks back in
-    order and re-raises a chunk's error at that chunk's place; a helper that
-    dies raises `BrokenProcessPool` rather than leaving the call waiting.
-    The pool lives for one call, and every helper is reaped before the call
-    returns or raises. Helpers are forked, not spawned: they start at once,
-    inherit `clips` without pickling it, and inherit the BLAS thread setting
-    the maps' bytes depend on.
+    `clips` is any sequence (`len` and integer indexing, where indexing may
+    make the clip, say by reading a WAV). The maps come back in order and bit
+    for bit as the serial loop makes them, and the error raised is the one
+    the serial loop would meet first. The call forks one helper per usable
+    CPU, at most one per chunk of CHUNK_CLIPS clips; each makes and maps the
+    clips of its chunks, so only chunk starts and maps cross between
+    processes. `Executor.map` returns the chunks in order and re-raises a
+    chunk's error in its place; a helper that dies raises `BrokenProcessPool`.
+    Every helper is reaped before the call returns or raises. Forked helpers
+    start at once and inherit `clips` and the BLAS thread setting the maps'
+    bytes depend on.
 
-    The order is import, then thread check, then fork. scipy.ndimage loads
-    first, so every helper inherits it rather than loading it again, and
-    the threads that loading starts are counted. The serial loop runs when
-    fewer than two helpers would be forked (one usable CPU, or one chunk),
-    when another thread runs in the process, or when there is no way to
-    count threads or CPUs (no /proc, or no `os.sched_getaffinity`, as on
-    macOS and Windows). Forking a threaded process is unsafe, and a
-    multi-threaded BLAS keeps its workers spinning on the other CPUs, where
-    they would slow the helpers down.
+    The serial loop runs when fewer than two helpers would be forked, when
+    another thread runs in the process (forking it is unsafe, and the
+    spinning workers of a multi-threaded BLAS slow helpers down), or when
+    threads or CPUs cannot be counted (no /proc or `os.sched_getaffinity`,
+    as on macOS and Windows). The pool's threads stay in /proc a millisecond
+    or so after they are joined, so the call waits for them, up to a second,
+    lest the next call count them and map serially.
     """
-    import scipy.ndimage  # noqa: F401
-
     n = len(clips)
     helpers = 0
     if _threads() == 1 and hasattr(os, "sched_getaffinity"):
@@ -293,5 +330,10 @@ def build_feature_maps(clips, params: FeatureParams = FeatureParams()) -> list[F
     if helpers < 2:
         return [build_feature_map(clips[i], params) for i in range(n)]
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(helpers, fork, _start_helper, (clips, params)) as pool:
-        return [m for chunk in pool.map(_map_chunk, range(0, n, CHUNK_CLIPS)) for m in chunk]
+    try:
+        with ProcessPoolExecutor(helpers, fork, _start_helper, (clips, params)) as pool:
+            return [m for chunk in pool.map(_map_chunk, range(0, n, CHUNK_CLIPS)) for m in chunk]
+    finally:
+        deadline = time.monotonic() + 1.0
+        while _threads() > 1 and time.monotonic() < deadline:
+            time.sleep(0.001)

@@ -120,7 +120,7 @@ class TestHpss:
             hpss_median(spec, 5, 1)
 
 
-KERNELS = (3, 5, 17, 31)
+KERNELS = (3, 5, 7, 9, 17, 31, 33)  # odd and even half-widths
 
 
 def ndimage_median(x, k, axis):
@@ -141,12 +141,20 @@ def assert_same_bytes(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def ndimage_reads_outside_the_row(n, k):
+    """Where ndimage's 2-D footprint filter is no oracle: on an axis of length
+    n >= 2 once k//2 >= 4n, as a length-2 axis from k = 17 or a length-3 one
+    from k = 25. There it returns values from outside the row (other rows,
+    NaN) that change from run to run, so a comparison there is flaky."""
+    return n >= 2 and k // 2 >= 4 * n
+
+
 def assert_median_along_exact(x, k, axis):
     """Equal to the explicit reference at every length, and to ndimage's 2-D
-    footprint filter except on a length-2 axis, where ndimage is wrong."""
+    footprint filter wherever ndimage is right."""
     got = af._median_along(x, k, axis)
     assert_same_bytes(got, reference_median(x, k, axis))
-    if x.shape[axis] != 2:
+    if not ndimage_reads_outside_the_row(x.shape[axis], k):
         assert_same_bytes(got, ndimage_median(x, k, axis))
 
 

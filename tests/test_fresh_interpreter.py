@@ -1,9 +1,10 @@
-"""Checks run in a new interpreter: scipy loads only where a clip is mapped,
-and a helper that dies breaks the map call rather than hanging it.
+"""Checks run in a new interpreter: no command loads scipy, forked maps
+equal serial maps, back-to-back map calls all fork, and a helper that dies
+breaks the map call rather than hanging it.
 
-The pytest process has imported scipy long before these tests run, and a
-hang must end in a timeout, not stall the suite, so each test starts its
-own Python, prints one JSON line and exits.
+The pytest process has imported scipy, as the tests' oracle, long before
+these tests run, and a hang must end in a timeout, not stall the suite, so
+each test starts its own Python, prints one JSON line and exits.
 """
 
 import json
@@ -16,8 +17,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_fresh(code: str, cwd: Path, timeout: float = 300) -> dict:
-    env = dict(os.environ)
+def run_fresh(code: str, cwd: Path, timeout: float = 300, env: dict | None = None) -> dict:
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
@@ -27,35 +28,42 @@ def run_fresh(code: str, cwd: Path, timeout: float = 300) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_tabular_commands_load_no_scipy(tmp_path):
+COMMANDS = (
+    "gen", "train fl", "train ser", "train churn", "evaluate none", "evaluate late",
+    "evaluate hybrid", "compare", "report",
+)
+
+
+def test_no_command_loads_scipy(tmp_path):
     (tmp_path / "config.txt").write_text(
-        "seed = 3\nrfe_k = 4\nsynth.n_customers = 60\nsynth.labeled_fl_fraction = 0.3\n"
-        "synth.clip_duration_s = 0.5\ncoreg.max_iterations = 1\nchurn_train.epochs = 5\n",
+        "seed = 3\nseeds = 0,1\nrfe_k = 4\nser_corpus_per_class = 4\nsynth.n_customers = 60\n"
+        "synth.labeled_fl_fraction = 0.3\nsynth.clip_duration_s = 0.5\ncoreg.max_iterations = 1\n"
+        "churn_train.epochs = 5\nser_train.epochs = 5\n",
         encoding="utf-8",
     )
     out = run_fresh(
-        """
+        f"""
         import contextlib, io, json, sys
 
         def scipy_modules():
             return sorted(m for m in sys.modules if m.startswith("scipy"))
 
         from churnfusion import cli
-        loaded = {"import": scipy_modules()}
-        codes = {}
-        for args in (["gen"], ["train", "fl"], ["train", "churn"], ["evaluate", "none"]):
+        loaded = {{"import": scipy_modules()}}
+        codes = {{}}
+        for command in {COMMANDS!r}:
             with contextlib.redirect_stdout(io.StringIO()):
-                codes[" ".join(args)] = cli.main(args + ["--out", "ws", "--config", "config.txt"])
-            loaded[" ".join(args)] = scipy_modules()
-        print(json.dumps({"codes": codes, "loaded": loaded}))
+                codes[command] = cli.main(command.split() + ["--out", "ws", "--config", "config.txt"])
+            loaded[command] = scipy_modules()
+        print(json.dumps({{"codes": codes, "loaded": loaded}}))
         """,
         tmp_path,
     )
-    assert set(out["codes"].values()) == {0}, out["codes"]
-    assert out["loaded"] == dict.fromkeys(["import", *out["codes"]], [])
+    assert out["codes"] == dict.fromkeys(COMMANDS, 0)
+    assert out["loaded"] == dict.fromkeys(["import", *COMMANDS], [])
 
 
-def test_scipy_loads_before_the_pool_forks(tmp_path):
+def test_forked_maps_equal_serial_maps_without_scipy(tmp_path):
     out = run_fresh(
         """
         import json, multiprocessing, os, sys
@@ -63,26 +71,51 @@ def test_scipy_loads_before_the_pool_forks(tmp_path):
         from churnfusion import audio_features as af
         from churnfusion.synth import SynthConfig, generate_cohort
 
-        seen = []
+        forks = []
         get_context = multiprocessing.get_context
-
-        def recording_get_context(method=None):
-            seen.append("scipy.ndimage" in sys.modules)
-            return get_context(method)
-
+        multiprocessing.get_context = lambda method=None: forks.append(method) or get_context(method)
         cohort = generate_cohort(SynthConfig(n_customers=20, clip_duration_s=0.5, seed=4))
         clips = [cohort.audio_clips[ref] for ref in sorted(cohort.audio_clips)]
-        before = "scipy.ndimage" in sys.modules
         os.sched_getaffinity = lambda pid: {0, 1}
         af._threads = lambda: 1
-        multiprocessing.get_context = recording_get_context
         forked = [m.image.tobytes() for m in af.build_feature_maps(clips)]
         serial = [af.build_feature_map(c).image.tobytes() for c in clips]
-        print(json.dumps({"before": before, "seen": seen, "equal": forked == serial}))
+        print(json.dumps({
+            "forks": forks, "equal": forked == serial,
+            "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+        }))
         """,
         tmp_path,
     )
-    assert out == {"before": False, "seen": [True], "equal": True}
+    assert out == {"forks": ["fork"], "equal": True, "scipy": []}
+
+
+def test_back_to_back_map_calls_all_fork(tmp_path):
+    # the pool's exiting threads linger in /proc/self/task after it shuts
+    # down; a call that counted them would map serially
+    out = run_fresh(
+        """
+        import json, multiprocessing, os
+
+        from churnfusion import audio_features as af
+        from churnfusion.synth import SynthConfig, generate_cohort
+
+        forks, threads = [], []
+        get_context = multiprocessing.get_context
+        multiprocessing.get_context = lambda method=None: forks.append(method) or get_context(method)
+        cohort = generate_cohort(SynthConfig(n_customers=20, clip_duration_s=0.5, seed=4))
+        clips = [cohort.audio_clips[ref] for ref in sorted(cohort.audio_clips)]
+        os.sched_getaffinity = lambda pid: {0, 1}
+        for _ in range(6):
+            threads.append(af._threads())
+            af.build_feature_maps(clips)
+        print(json.dumps({"forks": len(forks), "threads": threads}))
+        """,
+        tmp_path,
+        timeout=120,
+        env={"OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert out == {"forks": 6, "threads": [1] * 6}
 
 
 def test_a_helper_that_dies_breaks_the_pool_rather_than_hanging(tmp_path):

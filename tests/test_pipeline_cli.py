@@ -10,7 +10,7 @@ import pytest
 
 from churnfusion import audio_features, cli, metrics, pipeline, synth
 from churnfusion.audio_features import AudioClip
-from churnfusion.errors import ChurnFusionError, InvalidConfig, MissingModality
+from churnfusion.errors import BadBand, ChurnFusionError, InvalidConfig, MissingModality
 from churnfusion.synth import SynthConfig, generate_cohort
 
 SMALL_CONFIG = """
@@ -94,6 +94,19 @@ class TestParseConfig:
         for key in ("coreg.p1", "coreg.p2"):
             with pytest.raises(ValueError, match="Minkowski p"):
                 pipeline.parse_config_text(f"{key} = 0")
+
+    # each was accepted before, then failed inside the first map, which for
+    # train ser runs in a forked helper
+    @pytest.mark.parametrize("line, raised", [
+        ("features.kernel_time = 4", InvalidConfig),
+        ("features.kernel_freq = 1", InvalidConfig),
+        ("features.frame_size = 1000", InvalidConfig),
+        ("features.hop_size = 0", InvalidConfig),
+        ("features.n_mels = 2", BadBand),
+    ])
+    def test_bad_front_end_settings_rejected(self, line, raised):
+        with pytest.raises(raised):
+            pipeline.parse_config_text(line)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", _float_keys())
