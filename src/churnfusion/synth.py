@@ -32,6 +32,7 @@ from .data_model import (
 from .errors import BadWav, InvalidConfig, SchemaMismatch
 
 SAMPLE_RATE = 16000
+ROTATION_BLOCK = 64  # samples per block of `_tones`'s rotation
 
 TIER_PROBS = (0.5, 0.3, 0.2)
 _TIER_MEAN = sum(p * t for t, p in enumerate(TIER_PROBS))
@@ -129,6 +130,20 @@ class SyntheticCohort:
                 raise ValueError(f"unresolved audio_ref {ref!r}")
 
 
+def _tones(omega, phase, weight, n: int) -> np.ndarray:
+    """The sum over i of weight_i * sin(omega_i * k + phase_i) at samples k < n.
+
+    With k = B*j + m (B = ROTATION_BLOCK), sin(wk + p) = sin(wBj + p) cos(wm) + cos(wBj + p)
+    sin(wm), so np.sin and np.cos see n/B + B values per sinusoid, not n. einsum without
+    optimize sums in a fixed order and calls no BLAS."""
+    w, p = np.reshape(omega, (-1, 1)), np.reshape(phase, (-1, 1))
+    coarse = w * (ROTATION_BLOCK * np.arange(-(-n // ROTATION_BLOCK))) + p
+    fine = w * np.arange(ROTATION_BLOCK)
+    rows = np.vstack([np.sin(coarse), np.cos(coarse)])
+    taps = np.vstack([np.cos(fine), np.sin(fine)]) * np.tile(weight, 2)[:, None]
+    return np.einsum("hj,hm->jm", rows, taps, optimize=False).reshape(-1)[:n]
+
+
 def synth_audio(emotion: str, duration_s: float, seed) -> AudioClip:
     """Parametric clip whose HPSS character separates emotion polarity.
 
@@ -141,15 +156,11 @@ def synth_audio(emotion: str, duration_s: float, seed) -> AudioClip:
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * SAMPLE_RATE))
     if emotion in POSITIVE_LABELS:
-        t = np.arange(n) / SAMPLE_RATE
         f0 = rng.uniform(180.0, 280.0)
-        n_harm = 6 if emotion == "Happiness" else 4
-        x = np.zeros(n)
-        for h in range(1, n_harm + 1):
-            phase = rng.uniform(0.0, 2 * np.pi)
-            x += np.sin(2 * np.pi * f0 * h * t + phase) / h
+        h = np.arange(1.0, (6 if emotion == "Happiness" else 4) + 1)
+        x = _tones(2 * np.pi * f0 * h / SAMPLE_RATE, rng.uniform(0.0, 2 * np.pi, h.size), 1 / h, n)
         # slow tremolo keeps the clip non-stationary without adding transients
-        x *= 1.0 + 0.1 * np.sin(2 * np.pi * rng.uniform(2.0, 5.0) * t)
+        x *= 1.0 + _tones(2 * np.pi * rng.uniform(2.0, 5.0) / SAMPLE_RATE, 0.0, 0.1, n)
     elif emotion in NEGATIVE_LABELS:
         period = rng.uniform(0.06, 0.11) if emotion == "Anger" else rng.uniform(0.10, 0.16)
         burst_len = int(0.004 * SAMPLE_RATE)
@@ -286,8 +297,8 @@ def wav_bytes_to_clip(blob: bytes, name: str = "WAV data") -> AudioClip:
         raise BadWav(f"bad WAV {name}: {str(exc) or 'unexpected end of file'}") from exc
 
 
-def _read_wav(path: Path) -> AudioClip:
-    return wav_bytes_to_clip(path.read_bytes(), str(path))
+def _read_wav(src: Path, path: str) -> AudioClip:
+    return wav_bytes_to_clip((src / path).read_bytes(), str(src / path))
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -324,7 +335,8 @@ def read_cohort(in_dir: str | Path) -> SyntheticCohort:
     table = parse_customer_table((src / "table.csv").read_bytes())
     clips = {}
     for _, path in _csv_body(src / "manifest.csv"):
-        clips[Path(path).name] = partial(_read_wav, src / path)
+        # keyed by the file name; the path is joined only when the WAV is read
+        clips[path.rsplit("/", 1)[-1]] = partial(_read_wav, src, path)
     tier_of, fl_of = {}, {}
     for cid, tier, fl in _csv_body(src / "ground_truth.csv"):
         tier_of[cid] = tier

@@ -304,7 +304,9 @@ class TestFeatureMap:
 
 # sha256 of the stacked [3, 64] float64 maps below, as the front end produced
 # them with 2-D footprint median filters and a filterbank built per call.
-GOLDEN_MAPS_SHA256 = "b586da7cf7c416f0c86f524208eee277c7731882b10f4f2932ab57689afc7f91"
+# Re-taken once when tone clips moved to block rotation: the float clips
+# moved by at most 1e-12 and the maps by at most 4e-10.
+GOLDEN_MAPS_SHA256 = "5efac12ae0257832942e47498558e4d8593476e58981c8a87a4f8c1ad52e45bc"
 
 
 def test_feature_maps_are_byte_identical_to_golden():

@@ -1,6 +1,7 @@
 """Checks run in a new interpreter: no command loads scipy, forked maps
-equal serial maps, back-to-back map calls all fork, and a helper that dies
-breaks the map call rather than hanging it.
+equal serial maps, back-to-back map calls all fork, tone clips keep their
+bytes at any BLAS thread count, and a helper that dies breaks the map call
+rather than hanging it.
 
 The pytest process has imported scipy, as the tests' oracle, long before
 these tests run, and a hang must end in a timeout, not stall the suite, so
@@ -18,7 +19,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_fresh(code: str, cwd: Path, timeout: float = 300, env: dict | None = None) -> dict:
+    """Run `code` in a new Python; a None in `env` removes that variable."""
     env = {**os.environ, **(env or {})}
+    env = {name: value for name, value in env.items() if value is not None}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
@@ -116,6 +119,29 @@ def test_back_to_back_map_calls_all_fork(tmp_path):
         env={"OPENBLAS_NUM_THREADS": "1"},
     )
     assert out == {"forks": 6, "threads": [1] * 6}
+
+
+def test_tone_clip_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # tone clips sum their sinusoids with a BLAS-free einsum. A BLAS product
+    # could give other bytes at another thread count; `@` in its place gave
+    # equal bytes at 1 and 2 OpenBLAS threads on a 2-core box, but moved the
+    # float clips, which the map goldens in test_audio_features catch
+    code = """
+        import hashlib, json, os
+
+        from churnfusion.synth import synth_audio
+
+        digest = hashlib.sha256()
+        for emotion in ("Happiness", "Neutral"):
+            for seed in range(3):
+                for duration in (0.5, 1.0, 10.0):
+                    digest.update(synth_audio(emotion, duration, seed).samples.tobytes())
+        threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+        print(json.dumps({"sha256": digest.hexdigest(), "threads": threads}))
+        """
+    one = run_fresh(code, tmp_path, timeout=120, env={"OPENBLAS_NUM_THREADS": "1"})
+    default = run_fresh(code, tmp_path, timeout=120, env={"OPENBLAS_NUM_THREADS": None})
+    assert one["sha256"] == default["sha256"], (one, default)
 
 
 def test_a_helper_that_dies_breaks_the_pool_rather_than_hanging(tmp_path):

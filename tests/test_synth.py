@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import re
 import tracemalloc
 import wave
 from unittest import mock
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from churnfusion import synth
-from churnfusion.audio_features import hpss_median, stft_magnitude
-from churnfusion.data_model import NEGATIVE_LABELS, serialize_customer_table
+from churnfusion.audio_features import AudioClip, hpss_median, stft_magnitude
+from churnfusion.data_model import NEGATIVE_LABELS, POSITIVE_LABELS, serialize_customer_table
 from churnfusion.errors import BadWav, InvalidConfig, SchemaMismatch
 from churnfusion.synth import (
     SynthConfig,
@@ -30,6 +31,33 @@ def hpss_shares(clip):
     eh = float(np.sum(harm.magnitudes**2))
     ep = float(np.sum(perc.magnitudes**2))
     return eh / (eh + ep), ep / (eh + ep)
+
+
+def per_sample_tone_clip(emotion, duration_s, seed):
+    """A tone clip by the per-sample formula: one np.sin over every sample per
+    harmonic and one for the tremolo, with the same draws as synth_audio."""
+    rng = np.random.default_rng(seed)
+    n = int(round(duration_s * synth.SAMPLE_RATE))
+    t = np.arange(n) / synth.SAMPLE_RATE
+    f0 = rng.uniform(180.0, 280.0)
+    n_harm = 6 if emotion == "Happiness" else 4
+    x = np.zeros(n)
+    for h in range(1, n_harm + 1):
+        phase = rng.uniform(0.0, 2 * np.pi)
+        x += np.sin(2 * np.pi * f0 * h * t + phase) / h
+    x *= 1.0 + 0.1 * np.sin(2 * np.pi * rng.uniform(2.0, 5.0) * t)
+    x = 0.8 * x / np.max(np.abs(x))
+    return AudioClip(samples=x, sample_rate=synth.SAMPLE_RATE)
+
+
+def traced_peak(make):
+    make()  # first call outside the trace, so one-time allocations do not count
+    tracemalloc.start()
+    try:
+        make()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def churn_fl_correlation(cohort):
@@ -53,9 +81,29 @@ class TestSynthAudio:
             synth_audio("Anger", 11.0, 0)
 
     def test_deterministic_per_seed(self):
-        a = synth_audio("Sadness", 1.0, 42)
-        b = synth_audio("Sadness", 1.0, 42)
-        assert np.array_equal(a.samples, b.samples)
+        for emotion in POSITIVE_LABELS + NEGATIVE_LABELS:
+            a = synth_audio(emotion, 1.0, 42)
+            b = synth_audio(emotion, 1.0, 42)
+            assert np.array_equal(a.samples, b.samples), emotion
+            assert not np.array_equal(a.samples, synth_audio(emotion, 1.0, 43).samples), emotion
+
+
+class TestToneOracle:
+    # 0.73 s is 11680 samples, not a whole number of rotation blocks
+    @pytest.mark.parametrize("duration", [0.5, 0.73, 1.0, 10.0])
+    @pytest.mark.parametrize("emotion", POSITIVE_LABELS)
+    def test_block_rotation_matches_the_per_sample_formula(self, emotion, duration):
+        for seed in (0, 1, 2, 99, [7, 3, 1]):
+            clip = synth_audio(emotion, duration, seed)
+            reference = per_sample_tone_clip(emotion, duration, seed)
+            assert clip.samples.shape == reference.samples.shape
+            assert np.max(np.abs(clip.samples - reference.samples)) <= 1e-10
+            assert clip_to_wav_bytes(clip) == clip_to_wav_bytes(reference)
+
+    @pytest.mark.parametrize("emotion", POSITIVE_LABELS)
+    def test_10s_clip_peak_is_no_higher_than_the_per_sample_formula(self, emotion):
+        peak = traced_peak(lambda: synth_audio(emotion, 10.0, 1))
+        assert peak <= traced_peak(lambda: per_sample_tone_clip(emotion, 10.0, 1))
 
 
 class TestGenerateCohort:
@@ -181,6 +229,15 @@ class TestCohortIO:
         (tmp_path / "ground_truth.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(SchemaMismatch, match="c00001"):
             read_cohort(tmp_path)
+
+    def test_a_bad_wav_is_named_by_its_full_path(self, tmp_path):
+        write_cohort(generate_cohort(SynthConfig(n_customers=4, seed=2)), tmp_path)
+        bad = tmp_path / "audio" / "c00002.wav"
+        bad.write_bytes(b"RIFF")
+        clips = read_cohort(tmp_path).audio_clips
+        assert list(clips) == [f"c0000{i}.wav" for i in range(4)]
+        with pytest.raises(BadWav, match=f"bad WAV {re.escape(str(bad))}: "):
+            clips["c00002.wav"]
 
     def test_truth_rows_align_to_table_order(self, tmp_path):
         cohort = generate_cohort(SynthConfig(n_customers=20, seed=3))
