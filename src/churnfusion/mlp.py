@@ -91,22 +91,21 @@ def forward(params: MLPParams, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != params.input_dim:
         raise ShapeMismatch(f"input width {X.shape[1]} != model width {params.input_dim}")
-    a = X
+    return sigmoid(_layers(params, X)[1])
+
+
+def _layers(params: MLPParams, X: np.ndarray):
+    """The input and each hidden ReLU layer's activations, and the output logits."""
+    activations = [X]
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        a = np.maximum(0.0, a @ w + b)
-    z = a @ params.weights[-1] + params.biases[-1]
-    return sigmoid(z[:, 0])
+        activations.append(np.maximum(0.0, activations[-1] @ w + b))
+    return activations, (activations[-1] @ params.weights[-1] + params.biases[-1])[:, 0]
 
 
 def _backward(params: MLPParams, X: np.ndarray, y: np.ndarray, l2_penalty: float):
     """Output logits and the analytic gradients of the penalised mean cross-entropy."""
     n = X.shape[0]
-    activations = [X]
-    a = X
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        a = np.maximum(0.0, a @ w + b)
-        activations.append(a)
-    z = (a @ params.weights[-1] + params.biases[-1])[:, 0]
+    activations, z = _layers(params, X)
     p = sigmoid(z)
 
     grads_w = [None] * len(params.weights)

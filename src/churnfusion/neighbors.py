@@ -45,28 +45,21 @@ def nearest(
 
 
 def _select(dist: np.ndarray, k: int, skip) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of `dist`, the k smallest entries other than `skip`, by (distance, index)."""
+    """Per row of `dist`, the k smallest entries other than `skip`, by (distance, index).
+
+    Picks are made on a copy clamped to the largest float, so an overflowed
+    or NaN distance ties by index and never meets a masked (inf) entry.
+    """
     rows = np.arange(dist.shape[0])
+    picked = np.fmin(dist, np.finfo(float).max)
     if skip is not None:
-        dist[rows, skip] = np.inf
-    picked = dist.copy()
+        picked[rows, skip] = np.inf
     near = np.empty((len(rows), k), dtype=np.intp)
-    near_dist = np.empty((len(rows), k))
     # argmin gives a tie to the lower index; each pick is then masked out
     for j in range(k):
         near[:, j] = picked.argmin(axis=1)
-        near_dist[:, j] = picked[rows, near[:, j]]
         picked[rows, near[:, j]] = np.inf
-    # a masked pick and a true inf look alike, so rows that reach an
-    # infinite (or NaN) distance are sorted instead
-    odd = np.flatnonzero(~np.isfinite(near_dist).all(axis=1))
-    for i in odd:
-        order = np.argsort(dist[i], kind="stable")
-        if skip is not None:
-            order = order[order != skip[i]]
-        near[i] = order[:k]
-        near_dist[i] = dist[i, near[i]]
-    return near, near_dist
+    return near, np.take_along_axis(dist, near, axis=1)
 
 
 def join_leave_one_out(
@@ -76,20 +69,16 @@ def join_leave_one_out(
 
     `(near, near_dist)` must equal `nearest(points, points, k, p,
     exclude=np.arange(m))`; the result equals the same search over the m + 1
-    points, from one new distance row. The new point has the highest index,
-    so it enters a row's list after every entry at most as far away.
+    points, from one new distance row. Each old row selects from its old
+    list with the new point as the last column, so the new point, which has
+    the highest index, loses every tie.
     """
     m, width = points.shape[0], min(k, points.shape[0])
     row = _distances(new[None, :], points, p)[0]
-    pos = (near_dist <= row[:, None]).sum(axis=1)
-    # column j of an old row takes old column j before pos, the new point
-    # (appended as the last candidate column) at pos, old column j - 1 after
-    j = np.arange(width)
-    src = np.where(j < pos[:, None], j, np.where(j == pos[:, None], near.shape[1], j - 1))
     cand = np.hstack([near, np.full((m, 1), m, dtype=np.intp)])
-    cand_dist = np.hstack([near_dist, row[:, None]])
+    cols, cand_dist = _select(np.hstack([near_dist, row[:, None]]), width, None)
     own, own_dist = _select(row[None, :], width, None)
     return (
-        np.vstack([np.take_along_axis(cand, src, axis=1), own]),
-        np.vstack([np.take_along_axis(cand_dist, src, axis=1), own_dist]),
+        np.vstack([np.take_along_axis(cand, cols, axis=1), own]),
+        np.vstack([cand_dist, own_dist]),
     )

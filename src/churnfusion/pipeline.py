@@ -71,15 +71,18 @@ def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
 _BOOL = {"true": True, "false": False, "1": True, "0": False}
 
 
-def _coerce(key: str, value: str, kind):
+def _coerce(where: str, value: str, kind):
     if kind is bool:
         try:
             return _BOOL[value.strip().lower()]
         except KeyError:
-            raise InvalidConfig(f"{key} must be one of {', '.join(_BOOL)}: {value!r}") from None
+            raise InvalidConfig(f"{where} must be one of {', '.join(_BOOL)}: {value!r}") from None
     if kind in (int, float, str):
-        return kind(value)
-    raise InvalidConfig(f"unsupported config value type {kind}")
+        try:
+            return kind(value)
+        except ValueError:
+            raise InvalidConfig(f"{where} must be {kind.__name__}: {value!r}") from None
+    raise InvalidConfig(f"{where} cannot be set from a config file")
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -99,22 +102,23 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in line:
             raise InvalidConfig(f"line {lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        where = f"line {lineno}: {key}"
         if key == "seeds":
-            top_updates["seeds"] = tuple(int(v) for v in value.split(",") if v.strip())
+            top_updates[key] = tuple(_coerce(where, v, int) for v in value.split(",") if v.strip())
         elif "." in key:
             section, name = key.split(".", 1)
-            if section not in top_fields:
+            target = getattr(cfg, section, None)
+            if section not in top_fields or not dataclasses.is_dataclass(target):
                 raise InvalidConfig(f"line {lineno}: unknown section {section!r}")
-            target = getattr(cfg, section)
             section_fields = {f.name: f for f in dataclasses.fields(target)}
             if name not in section_fields:
                 raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
             if name == "seed":
                 raise InvalidConfig(f"line {lineno}: set the top-level 'seed', not {key!r}")
             current = getattr(target, name)
-            nested_updates.setdefault(section, {})[name] = _coerce(key, value, type(current))
+            nested_updates.setdefault(section, {})[name] = _coerce(where, value, type(current))
         elif key in top_fields:
-            top_updates[key] = _coerce(key, value, type(getattr(cfg, key)))
+            top_updates[key] = _coerce(where, value, type(getattr(cfg, key)))
         else:
             raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
     for section, updates in nested_updates.items():

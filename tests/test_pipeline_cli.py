@@ -114,6 +114,26 @@ class TestParseConfig:
         with pytest.raises((ValueError, ChurnFusionError)):
             pipeline.parse_config_text(f"{key} = {value}")
 
+    # each raised TypeError from dataclasses.fields on the scalar before
+    @pytest.mark.parametrize(
+        "section", ["seed", "seeds", "test_fraction", "rfe_k", "ser_corpus_per_class"]
+    )
+    def test_dotted_key_under_a_scalar_rejected(self, section):
+        with pytest.raises(InvalidConfig, match=f"^line 2: unknown section '{section}'$"):
+            pipeline.parse_config_text(f"rfe_k = 4\n{section}.x = 1")
+
+    # each raised a bare ValueError that named neither the line nor the key
+    @pytest.mark.parametrize("line, message", [
+        ("seeds = 0,a", "line 2: seeds must be int: 'a'"),
+        ("rfe_k = 1.5", "line 2: rfe_k must be int: '1.5'"),
+        ("test_fraction = x", "line 2: test_fraction must be float: 'x'"),
+        ("synth.n_customers = q", "line 2: synth.n_customers must be int: 'q'"),
+    ])
+    def test_failed_conversion_names_line_and_key(self, line, message):
+        with pytest.raises(InvalidConfig) as caught:
+            pipeline.parse_config_text(f"# a comment\n{line}")
+        assert str(caught.value) == message
+
 
 class TestSplitTable:
     def test_deterministic_partition(self):
@@ -375,6 +395,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "coreg.seed" in err and "'seed'" in err
+
+    @pytest.mark.parametrize("line", ["rfe_k.x = 1", "seeds = a"])
+    def test_bad_config_line_fails_naming_it_and_writes_nothing(self, tmp_path, capsys, line):
+        config = tmp_path / "bad.txt"
+        config.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "ws"
+        assert cli.main(["gen", "--out", str(out), "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 1:")
+        assert not out.exists()
 
     def test_bad_boolean_in_config_fails(self, tmp_path, capsys):
         config = tmp_path / "bad.txt"
