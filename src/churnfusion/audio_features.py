@@ -285,11 +285,10 @@ def _start_helper(clips, params: FeatureParams) -> None:
     _work = clips, params
 
 
-def _map_chunk(start: int) -> list[FeatureMap]:
-    """Make and map clips start .. start + CHUNK_CLIPS - 1, in a helper."""
+def _map_one(key) -> FeatureMap:
+    """Make and map clip `key`, in a helper."""
     clips, params = _work
-    stop = min(start + CHUNK_CLIPS, len(clips))
-    return [build_feature_map(clips[i], params) for i in range(start, stop)]
+    return build_feature_map(clips[key], params)
 
 
 def _threads() -> int:
@@ -300,15 +299,15 @@ def _threads() -> int:
         return 0
 
 
-def build_feature_maps(clips, params: FeatureParams = FeatureParams()) -> list[FeatureMap]:
-    """`[build_feature_map(clips[i], params) for i in range(len(clips))]`, on every usable CPU.
+def build_feature_maps(clips, keys, params: FeatureParams = FeatureParams()) -> list[FeatureMap]:
+    """`[build_feature_map(clips[k], params) for k in keys]`, on every usable CPU.
 
-    `clips` is any sequence (`len` and integer indexing, where indexing may
-    make the clip, say by reading a WAV). The maps come back in order and bit
-    for bit as the serial loop makes them, and the error raised is the one
-    the serial loop would meet first. The call forks one helper per usable
-    CPU, at most one per chunk of CHUNK_CLIPS clips; each makes and maps the
-    clips of its chunks, so only chunk starts and maps cross between
+    `clips` maps each key to its clip, and a lookup may make the clip (a
+    `synth.LazyClips` synthesizes it or reads a WAV). The maps come back in
+    order and bit for bit as the serial loop makes them, and the error raised
+    is the one the serial loop would meet first. The call forks one helper
+    per usable CPU, at most one per chunk of CHUNK_CLIPS keys; each makes and
+    maps the clips of its chunks, so only keys and maps cross between
     processes. `Executor.map` returns the chunks in order and re-raises a
     chunk's error in its place; a helper that dies raises `BrokenProcessPool`.
     Every helper is reaped before the call returns or raises. Forked helpers
@@ -323,16 +322,16 @@ def build_feature_maps(clips, params: FeatureParams = FeatureParams()) -> list[F
     or so after they are joined, so the call waits for them, up to a second,
     lest the next call count them and map serially.
     """
-    n = len(clips)
+    n = len(keys)
     helpers = 0
     if _threads() == 1 and hasattr(os, "sched_getaffinity"):
         helpers = min(len(os.sched_getaffinity(0)), -(-n // CHUNK_CLIPS))
     if helpers < 2:
-        return [build_feature_map(clips[i], params) for i in range(n)]
+        return [build_feature_map(clips[k], params) for k in keys]
     fork = multiprocessing.get_context("fork")
     try:
         with ProcessPoolExecutor(helpers, fork, _start_helper, (clips, params)) as pool:
-            return [m for chunk in pool.map(_map_chunk, range(0, n, CHUNK_CLIPS)) for m in chunk]
+            return list(pool.map(_map_one, keys, chunksize=CHUNK_CLIPS))
     finally:
         deadline = time.monotonic() + 1.0
         while _threads() > 1 and time.monotonic() < deadline:

@@ -1,4 +1,4 @@
-"""Core domain types and delimited-text ingestion.
+"""Core domain types, the customer-table format, and the one CSV codec for every file.
 
 A customer table is comma-separated UTF-8 text (RFC 4180 quoting) with a
 header row: ``id,<feature columns...>,fl_label,churn_outcome,audio_ref``.
@@ -18,6 +18,7 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -38,6 +39,28 @@ def map_emotion_to_binary(label: str) -> int:
     if label in NEGATIVE_LABELS:
         return 1
     raise UnknownLabel(f"unsupported emotion label: {label!r}")
+
+
+def csv_bytes(rows) -> bytes:
+    """Rows as CSV: RFC 4180 quoting, `\n` line ends, UTF-8.
+
+    The writer quotes a cell holding a character of its line terminator, so
+    it writes `\r\n` rows, quoting a lone `\r` as RFC 4180 asks; each row's
+    terminator is then cut to `\n`.
+    """
+    row, lines = io.StringIO(), []
+    writer = csv.writer(row, lineterminator="\r\n")
+    for cells in rows:
+        writer.writerow(cells)
+        lines.append(row.getvalue()[:-2] + "\n")
+        row.seek(0)
+        row.truncate()
+    return "".join(lines).encode("utf-8")
+
+
+def csv_rows(raw: bytes) -> list[list[str]]:
+    """The rows of UTF-8 CSV bytes, blank rows skipped; inverse of csv_bytes."""
+    return [row for row in csv.reader(io.StringIO(raw.decode("utf-8"), newline="")) if row]
 
 
 def _column(values, dtype, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -121,12 +144,10 @@ def parse_customer_table(raw: bytes) -> CustomerTable:
 
     The feature names are read from the header.
     """
-    text = raw.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise SchemaMismatch("empty input: missing header row") from None
+    rows = csv_rows(raw)
+    if not rows:
+        raise SchemaMismatch("empty input: missing header row")
+    header = tuple(rows[0])
     if header[:1] != ("id",) or header[-3:] != TRAILING_COLUMNS:
         raise SchemaMismatch(
             f"header {header} does not read id,<features...>,{','.join(TRAILING_COLUMNS)}"
@@ -134,9 +155,7 @@ def parse_customer_table(raw: bytes) -> CustomerTable:
     names = header[1:-3]
 
     ids, feats, fl_labels, churn_outcomes, audio_refs = [], [], [], [], []
-    for cells in reader:
-        if not cells:
-            continue
+    for cells in rows[1:]:
         if len(cells) != len(header):
             raise SchemaMismatch(f"row has {len(cells)} cells, expected {len(header)}")
         row_id = cells[0]
@@ -172,11 +191,8 @@ def serialize_customer_table(table: CustomerTable) -> bytes:
     # repr gives the shortest round-trip decimal, keeping files byte-stable
     fl_cells = ["" if math.isnan(v) else repr(v) for v in table.fl_label.tolist()]
     churn_cells = ["" if v < 0 else str(v) for v in table.churn_outcome.tolist()]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("id", *table.feature_names, *TRAILING_COLUMNS))
-    for cid, feats, fl_cell, churn_cell, ref in zip(
-        table.ids, table.features.tolist(), fl_cells, churn_cells, table.audio_ref
-    ):
-        writer.writerow([cid, *map(repr, feats), fl_cell, churn_cell, ref or ""])
-    return out.getvalue().encode("utf-8")
+    header = ("id", *table.feature_names, *TRAILING_COLUMNS)
+    rows = zip(table.ids, table.features.tolist(), fl_cells, churn_cells, table.audio_ref)
+    return csv_bytes(
+        chain([header], ([cid, *map(repr, f), fl, ch, ref or ""] for cid, f, fl, ch, ref in rows))
+    )

@@ -14,15 +14,13 @@ happens in `pipeline.assign`.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import churn_model as cm
 from . import fl_model as fl
-from .data_model import CustomerTable
+from .data_model import CustomerTable, csv_bytes
 from .errors import InvalidTriple, MissingModality
 from .mlp import TrainConfig
 
@@ -206,8 +204,4 @@ def serialize_assignments(assignments: Assignments) -> bytes:
         a.risk.tolist(),
         [repr(v) for v in a.rank_score.tolist()],
     )
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(ASSIGNMENT_HEADER)
-    writer.writerows(zip(*columns))
-    return out.getvalue().encode("utf-8")
+    return csv_bytes([ASSIGNMENT_HEADER, *zip(*columns)])

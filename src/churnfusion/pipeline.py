@@ -24,7 +24,7 @@ from . import metrics
 from . import ser_model as serm
 from . import synth
 from .audio_features import FeatureParams, build_feature_maps
-from .data_model import CustomerTable
+from .data_model import CustomerTable, csv_bytes
 from .errors import InvalidConfig, MissingModality
 from .mlp import TrainConfig
 
@@ -153,7 +153,7 @@ def train_ser(cfg: RunConfig) -> serm.EmotionModel:
     clips, labels = synth.generate_ser_corpus(
         cfg.ser_corpus_per_class, cfg.synth.clip_duration_s, cfg.seed + 5
     )
-    maps = build_feature_maps(clips, cfg.features)
+    maps = build_feature_maps(clips, range(len(clips)), cfg.features)
     return serm.train_emotion(maps, labels, cfg.ser_train)
 
 
@@ -169,8 +169,7 @@ def compute_emotions(table, clips, ser, cfg: RunConfig) -> np.ndarray:
     missing = [cid for cid, ref in zip(table.ids, table.audio_ref) if ref not in clips]
     if missing:
         raise MissingModality(f"{len(missing)} customers have no audio clip, first {missing[0]!r}")
-    row_clips = synth.LazySequence(clips.__getitem__, table.audio_ref)
-    maps = build_feature_maps(row_clips, cfg.features)
+    maps = build_feature_maps(clips, table.audio_ref, cfg.features)
     return np.array([serm.predict_emotion(ser, m) for m in maps], dtype=int)
 
 
@@ -272,11 +271,11 @@ def compare_over_seeds(cfg: RunConfig, strategies=STRATEGIES):
 
 def format_comparison(rows: dict) -> str:
     """Comparison table: one metric row, one column per fusion strategy."""
-    lines = ["metric," + ",".join(rows)]
+    lines = [["metric", *rows]]
     for name in COMPARED:
         cells = [
             f"{100 * row[name][0]:.1f} +/- {100 * row[name][1]:.1f}" if name in row else ""
             for row in rows.values()
         ]
-        lines.append(f"{name}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+        lines.append([name, *cells])
+    return csv_bytes(lines).decode("utf-8")

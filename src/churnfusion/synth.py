@@ -9,10 +9,9 @@ modality is an imperfect, partly independent view of the same tier.
 
 from __future__ import annotations
 
-import csv
 import io
 import wave
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -25,6 +24,8 @@ from .data_model import (
     POSITIVE_LABELS,
     RISK_LABELS,
     CustomerTable,
+    csv_bytes,
+    csv_rows,
     map_emotion_to_binary,
     serialize_customer_table,
     parse_customer_table,
@@ -62,49 +63,28 @@ class SynthConfig:
 
 
 class LazyClips(Mapping):
-    """Read-only audio_ref -> AudioClip map that makes a clip on each lookup.
+    """Read-only key -> AudioClip map that makes a clip on each lookup.
 
-    Each ref holds a zero-argument maker (a synthesis or a WAV decode); no
-    clip is kept, so a cohort's memory does not grow with clip length and
-    a lookup costs one synthesis or decode. Membership, iteration and
-    length read the ref table only and make no clip.
+    Each key (an audio_ref, a corpus index) holds a zero-argument maker (a
+    synthesis or a WAV decode); no clip is kept, so memory does not grow
+    with clip length and a lookup costs one synthesis or decode.
+    Membership, iteration and length read the key table and make no clip.
     """
 
-    def __init__(self, makers: dict[str, Callable[[], AudioClip]]):
+    def __init__(self, makers: dict[Hashable, Callable[[], AudioClip]]):
         self._makers = makers
 
-    def __getitem__(self, ref: str) -> AudioClip:
-        return self._makers[ref]()
+    def __getitem__(self, key) -> AudioClip:
+        return self._makers[key]()
 
-    def __contains__(self, ref) -> bool:
-        return ref in self._makers
+    def __contains__(self, key) -> bool:
+        return key in self._makers
 
-    def __iter__(self) -> Iterator[str]:
+    def __iter__(self) -> Iterator[Hashable]:
         return iter(self._makers)
 
     def __len__(self) -> int:
         return len(self._makers)
-
-
-class LazySequence(Sequence):
-    """Read-only sequence whose item i is `make(keys[i])`, made each time i is indexed.
-
-    Like `LazyClips` it keeps no item, so `len` makes none and a caller
-    that maps item after item holds one at a time. Joined with a list it
-    gives a list of the made items.
-    """
-
-    def __init__(self, make: Callable, keys):
-        self._make, self._keys = make, tuple(keys)
-
-    def __getitem__(self, i: int):
-        return self._make(self._keys[i])
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __add__(self, other) -> list:
-        return [*self, *other]
 
 
 @dataclass(frozen=True)
@@ -128,6 +108,9 @@ class SyntheticCohort:
         for ref in self.table.audio_ref:
             if ref is not None and ref not in self.audio_clips:
                 raise ValueError(f"unresolved audio_ref {ref!r}")
+        for cid, tier in zip(self.table.ids, map(str, self.risk_tier)):
+            if tier not in RISK_LABELS:
+                raise SchemaMismatch(f"risk_tier {tier!r} of id {cid!r} is not low, mid or high")
 
 
 def _tones(omega, phase, weight, n: int) -> np.ndarray:
@@ -253,23 +236,23 @@ def generate_cohort(config: SynthConfig) -> SyntheticCohort:
 
 def generate_ser_corpus(
     n_per_class: int = 40, duration_s: float = 1.0, seed: int = 0
-) -> tuple[LazySequence, list[int]]:
-    """Labeled emotion clips for training the speech classifier.
+) -> tuple[LazyClips, list[int]]:
+    """Labeled emotion clips for training the speech classifier, keyed 0..n-1.
 
     Stands in for an external labeled emotion corpus; the cohort's own
     clips stay unlabeled from the model's point of view. Clip i is
-    synthesized each time it is indexed, so building the corpus makes none.
+    synthesized each time it is looked up, so building the corpus makes none.
     """
     if n_per_class < 1:
         raise InvalidConfig("n_per_class must be positive")
     all_labels = POSITIVE_LABELS + NEGATIVE_LABELS
-    keys = [
-        (label, [seed, 7919, rep, li])
-        for rep in range(n_per_class)
-        for li, label in enumerate(all_labels)
-    ]
-    labels = [map_emotion_to_binary(label) for label, _ in keys]
-    return LazySequence(lambda key: synth_audio(key[0], duration_s, key[1]), keys), labels
+    emotions = [label for _ in range(n_per_class) for label in all_labels]
+    # clip i is repetition i // 4 of label i % 4
+    makers = {
+        i: partial(synth_audio, label, duration_s, [seed, 7919, *divmod(i, len(all_labels))])
+        for i, label in enumerate(emotions)
+    }
+    return LazyClips(makers), [map_emotion_to_binary(label) for label in emotions]
 
 
 def clip_to_wav_bytes(clip: AudioClip) -> bytes:
@@ -301,15 +284,13 @@ def _read_wav(src: Path, path: str) -> AudioClip:
     return wav_bytes_to_clip((src / path).read_bytes(), str(src / path))
 
 
-def _write_csv(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        csv.writer(f, lineterminator="\n").writerows(rows)
-
-
-def _csv_body(path: Path) -> list[list[str]]:
-    """The rows of a CSV file after its header."""
-    with open(path, encoding="utf-8", newline="") as f:
-        return list(csv.reader(f))[1:]
+def _side_rows(src: Path, name: str, width: int) -> list[list[str]]:
+    """The rows of side file `name` after its header, each `width` cells wide."""
+    rows = csv_rows((src / name).read_bytes())[1:]
+    for row in rows:
+        if len(row) != width:
+            raise SchemaMismatch(f"{name} row {row[0]!r} has {len(row)} cells, expected {width}")
+    return rows
 
 
 def write_cohort(cohort: SyntheticCohort, out_dir: str | Path) -> None:
@@ -322,11 +303,11 @@ def write_cohort(cohort: SyntheticCohort, out_dir: str | Path) -> None:
         if ref is not None:
             (out / "audio" / ref).write_bytes(clip_to_wav_bytes(cohort.audio_clips[ref]))
             manifest.append((cid, f"audio/{ref}"))
-    _write_csv(out / "manifest.csv", manifest)
+    (out / "manifest.csv").write_bytes(csv_bytes(manifest))
     truth = [("id", "risk_tier", "true_fl")]
     for cid, tier, fl in zip(cohort.table.ids, cohort.risk_tier, cohort.true_fl.tolist()):
         truth.append((cid, tier, "" if np.isnan(fl) else fl))
-    _write_csv(out / "ground_truth.csv", truth)
+    (out / "ground_truth.csv").write_bytes(csv_bytes(truth))
 
 
 def read_cohort(in_dir: str | Path) -> SyntheticCohort:
@@ -334,13 +315,16 @@ def read_cohort(in_dir: str | Path) -> SyntheticCohort:
     src = Path(in_dir)
     table = parse_customer_table((src / "table.csv").read_bytes())
     clips = {}
-    for _, path in _csv_body(src / "manifest.csv"):
+    for _, path in _side_rows(src, "manifest.csv", 2):
         # keyed by the file name; the path is joined only when the WAV is read
         clips[path.rsplit("/", 1)[-1]] = partial(_read_wav, src, path)
     tier_of, fl_of = {}, {}
-    for cid, tier, fl in _csv_body(src / "ground_truth.csv"):
+    for cid, tier, fl in _side_rows(src, "ground_truth.csv", 3):
         tier_of[cid] = tier
-        fl_of[cid] = float(fl) if fl else np.nan
+        try:
+            fl_of[cid] = float(fl) if fl else np.nan
+        except ValueError:
+            raise SchemaMismatch(f"ground_truth.csv row {cid!r} has true_fl {fl!r}") from None
     missing = [cid for cid in table.ids if cid not in tier_of]
     if missing:
         raise SchemaMismatch(f"ground_truth.csv has no row for id {missing[0]!r}")

@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing
 import os
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from churnfusion.audio_features import (
     stft_magnitude,
 )
 from churnfusion.errors import BadBand, BadWav, ClipTooShort, InvalidConfig
-from churnfusion.synth import SynthConfig, generate_cohort, generate_ser_corpus
+from churnfusion.synth import LazyClips, SynthConfig, generate_cohort, generate_ser_corpus
 from reference import mel_band_centers
 
 SR = 16000
@@ -309,11 +310,15 @@ class TestFeatureMap:
 GOLDEN_MAPS_SHA256 = "5efac12ae0257832942e47498558e4d8593476e58981c8a87a4f8c1ad52e45bc"
 
 
-def test_feature_maps_are_byte_identical_to_golden():
-    clips, _ = generate_ser_corpus(4, 0.5, 5)
+def golden_clips():
+    """The 16 SER corpus clips, then the 20 cohort clips in ref order."""
+    corpus, _ = generate_ser_corpus(4, 0.5, 5)
     cohort = generate_cohort(SynthConfig(n_customers=20, clip_duration_s=1.0, seed=3))
-    clips += [cohort.audio_clips[ref] for ref in sorted(cohort.audio_clips)]
-    images = np.stack([build_feature_map(clip).image for clip in clips])
+    return [*corpus.values(), *(cohort.audio_clips[ref] for ref in sorted(cohort.audio_clips))]
+
+
+def test_feature_maps_are_byte_identical_to_golden():
+    images = np.stack([build_feature_map(clip).image for clip in golden_clips()])
     assert images.shape == (36, 3, 64)
     assert hashlib.sha256(images.tobytes()).hexdigest() == GOLDEN_MAPS_SHA256
 
@@ -334,17 +339,9 @@ def images(maps):
     return [m.image.tobytes() for m in maps]
 
 
-class Made:
-    """A sequence of n clips; item i is make(i), called when it is indexed."""
-
-    def __init__(self, n, make):
-        self.n, self.make = n, make
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i):
-        return self.make(i)
+def made(n, make):
+    """Clips keyed 0..n-1; clip i is make(i), called when it is looked up."""
+    return LazyClips({i: partial(make, i) for i in range(n)})
 
 
 class TestBuildFeatureMaps:
@@ -354,7 +351,7 @@ class TestBuildFeatureMaps:
         use_cpus(monkeypatch, cpus)
         params = FeatureParams(n_mels=32, kernel_time=9)
         clips = cohort_clips[:n]
-        maps = af.build_feature_maps(clips, params)
+        maps = af.build_feature_maps(clips, range(n), params)
         assert images(maps) == images(build_feature_map(c, params) for c in clips)
         assert multiprocessing.active_children() == []
 
@@ -365,14 +362,14 @@ class TestBuildFeatureMaps:
         use_cpus(monkeypatch, cpus)
         monkeypatch.setattr(af, "_threads", lambda: threads)
         monkeypatch.setattr(multiprocessing, "get_context", mock.Mock(side_effect=AssertionError))
-        maps = af.build_feature_maps(cohort_clips)
+        maps = af.build_feature_maps(cohort_clips, range(len(cohort_clips)))
         assert images(maps) == images(build_feature_map(c) for c in cohort_clips)
 
     def test_no_sched_getaffinity_maps_serially(self, cohort_clips, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(af, "_threads", lambda: 1)
         monkeypatch.setattr(multiprocessing, "get_context", mock.Mock(side_effect=AssertionError))
-        maps = af.build_feature_maps(cohort_clips)
+        maps = af.build_feature_maps(cohort_clips, range(len(cohort_clips)))
         assert images(maps) == images(build_feature_map(c) for c in cohort_clips)
 
     def test_no_proc_task_list_maps_serially(self, cohort_clips, monkeypatch):
@@ -386,15 +383,13 @@ class TestBuildFeatureMaps:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(os, "listdir", no_proc)
         monkeypatch.setattr(multiprocessing, "get_context", mock.Mock(side_effect=AssertionError))
-        maps = af.build_feature_maps(cohort_clips)
+        maps = af.build_feature_maps(cohort_clips, range(len(cohort_clips)))
         assert images(maps) == images(build_feature_map(c) for c in cohort_clips)
 
     def test_maps_of_1s_clips_keep_the_golden_bytes(self, monkeypatch):
         use_cpus(monkeypatch, 2)
-        clips, _ = generate_ser_corpus(4, 0.5, 5)
-        cohort = generate_cohort(SynthConfig(n_customers=20, clip_duration_s=1.0, seed=3))
-        clips += [cohort.audio_clips[ref] for ref in sorted(cohort.audio_clips)]
-        stacked = np.stack([m.image for m in af.build_feature_maps(clips)])
+        clips = golden_clips()
+        stacked = np.stack([m.image for m in af.build_feature_maps(clips, range(len(clips)))])
         assert hashlib.sha256(stacked.tobytes()).hexdigest() == GOLDEN_MAPS_SHA256
 
     # with two or four CPUs the helpers make and map every chunk, and the
@@ -409,7 +404,7 @@ class TestBuildFeatureMaps:
         clips[short] = AudioClip(np.ones(512), SR)
         clips[band] = AudioClip(np.ones(8000), 8000)  # f_max 8000 Hz is above its Nyquist
         with pytest.raises(ClipTooShort if short < band else BadBand):
-            af.build_feature_maps(clips)
+            af.build_feature_maps(clips, range(len(clips)))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -431,7 +426,7 @@ class TestBuildFeatureMaps:
             return clips[i]
 
         with pytest.raises(raised):
-            af.build_feature_maps(Made(len(clips), make))
+            af.build_feature_maps(made(len(clips), make), range(len(clips)))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [2, 4])
@@ -444,6 +439,6 @@ class TestBuildFeatureMaps:
                 raise AssertionError(f"the caller made clip {i}")
             return cohort_clips[i]
 
-        maps = af.build_feature_maps(Made(len(cohort_clips), make))
+        maps = af.build_feature_maps(made(len(cohort_clips), make), range(len(cohort_clips)))
         assert images(maps) == images(build_feature_map(c) for c in cohort_clips)
         assert multiprocessing.active_children() == []

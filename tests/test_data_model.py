@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from churnfusion.data_model import (
     CustomerTable,
+    csv_bytes,
+    csv_rows,
     map_emotion_to_binary,
     parse_customer_table,
     serialize_customer_table,
@@ -235,3 +237,17 @@ def test_serialize_parse_round_trip(rows):
     again = parse_customer_table(blob)
     assert_same_table(again, table)
     assert serialize_customer_table(again) == blob
+
+
+@given(st.lists(st.lists(st.text(), min_size=1, max_size=4).filter(lambda row: row != [""])))
+def test_csv_codec_round_trip(rows):
+    # cells may hold commas, quotes, line breaks and any other text
+    assert csv_rows(csv_bytes(rows)) == rows
+
+
+def test_csv_codec_dialect_and_blank_rows():
+    rows = [["id", "x"], ["a,1", 'say "hi"'], ["b\r\n2", ""], ["c\r3", "d\n4"]]
+    blob = csv_bytes(rows)
+    # a lone \r is quoted too, or reading would end the row there
+    assert blob == b'id,x\n"a,1","say ""hi"""\n"b\r\n2",\n"c\r3","d\n4"\n'
+    assert csv_rows(b"\n" + blob + b"\n\n") == rows

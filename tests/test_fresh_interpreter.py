@@ -81,7 +81,7 @@ def test_forked_maps_equal_serial_maps_without_scipy(tmp_path):
         clips = [cohort.audio_clips[ref] for ref in sorted(cohort.audio_clips)]
         os.sched_getaffinity = lambda pid: {0, 1}
         af._threads = lambda: 1
-        forked = [m.image.tobytes() for m in af.build_feature_maps(clips)]
+        forked = [m.image.tobytes() for m in af.build_feature_maps(clips, range(len(clips)))]
         serial = [af.build_feature_map(c).image.tobytes() for c in clips]
         print(json.dumps({
             "forks": forks, "equal": forked == serial,
@@ -111,7 +111,7 @@ def test_back_to_back_map_calls_all_fork(tmp_path):
         os.sched_getaffinity = lambda pid: {0, 1}
         for _ in range(6):
             threads.append(af._threads())
-            af.build_feature_maps(clips)
+            af.build_feature_maps(clips, range(len(clips)))
         print(json.dumps({"forks": len(forks), "threads": threads}))
         """,
         tmp_path,
@@ -166,7 +166,7 @@ def test_a_helper_that_dies_breaks_the_pool_rather_than_hanging(tmp_path):
 
         af.build_feature_map = dies_in_a_helper
         try:
-            af.build_feature_maps(clips)
+            af.build_feature_maps(clips, range(len(clips)))
             raised = None
         except BrokenProcessPool as exc:
             raised = type(exc).__name__

@@ -125,7 +125,7 @@ def small_world():
     fl_model = flm.coreg_train(labeled, [], smogn=None, cfg=flm.CoregConfig())
     clips, labels = generate_ser_corpus(8, 1.0, seed=12)
     params = FeatureParams()
-    maps = [build_feature_map(c, params) for c in clips]
+    maps = [build_feature_map(c, params) for c in clips.values()]
     emo_model = ser_model.train_emotion(maps, labels, TrainConfig(epochs=60, seed=0))
     churn = cm.train_churn(
         table.features, table.churn_outcome, rfe_k=6, hyper=TrainConfig(epochs=60, seed=1)

@@ -347,6 +347,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(blob) in err and "8 bytes past the end" in err
 
+    def test_unknown_risk_tier_fails_evaluate(self, cli_workspace, tmp_path, capsys):
+        ws, config = cli_workspace
+        bad = copy_trained(ws, tmp_path / "tier")
+        path = bad / "data" / "ground_truth.csv"
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+        cid, _, fl = first.split(",")
+        path.write_text("\n".join([header, f"{cid},medium,{fl}", *rest]) + "\n", encoding="utf-8")
+        assert run_cli(["evaluate", "none"], bad, config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'medium'" in err and repr(cid) in err
+        assert not (bad / "reports" / "report_none.txt").exists()
+
     def test_train_ser_without_manifest_fails(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
         config.write_text(SMALL_CONFIG, encoding="utf-8")

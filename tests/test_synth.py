@@ -184,25 +184,21 @@ class TestSerCorpus:
     def test_deterministic(self):
         a, _ = generate_ser_corpus(2, 1.0, 3)
         b, _ = generate_ser_corpus(2, 1.0, 3)
-        for x, y in zip(a, b):
+        for x, y in zip(a.values(), b.values()):
             assert np.array_equal(x.samples, y.samples)
 
     def test_building_makes_no_clip_and_each_index_makes_one(self, monkeypatch):
         made = mock.Mock(wraps=synth.synth_audio)
         monkeypatch.setattr(synth, "synth_audio", made)
         clips, labels = generate_ser_corpus(3, 0.5, 2)
-        assert len(clips) == len(labels) == 4 * 3
+        assert list(clips) == list(range(len(labels))) == list(range(4 * 3))
         assert made.call_count == 0
         for i in range(len(clips)):
             first = clips[i]
             assert made.call_count == 2 * i + 1
             assert np.array_equal(clips[i].samples, first.samples)
-        with pytest.raises(IndexError):
+        with pytest.raises(KeyError):
             clips[len(clips)]
-        # a list joined on, as the golden map tests do, gives a list
-        joined = clips + [first]
-        assert type(joined) is list and len(joined) == 13 and joined[-1] is first
-        assert np.array_equal(joined[0].samples, clips[0].samples)
 
 
 class TestCohortIO:
@@ -288,6 +284,56 @@ class TestCohortIO:
         assert again.risk_tier.tolist() == cohort.risk_tier.tolist()
         assert np.array_equal(again.true_fl, cohort.true_fl, equal_nan=True)
         assert set(again.audio_clips) == set(cohort.audio_clips)
+
+    def test_blank_rows_in_side_files_are_skipped(self, tmp_path):
+        cohort = generate_cohort(SynthConfig(n_customers=6, seed=2))
+        write_cohort(cohort, tmp_path)
+        for name in ("manifest.csv", "ground_truth.csv"):
+            with open(tmp_path / name, "a", encoding="utf-8") as f:
+                f.write("\n")
+        again = read_cohort(tmp_path)
+        assert again.table.ids == cohort.table.ids
+        assert again.risk_tier.tolist() == cohort.risk_tier.tolist()
+        assert np.array_equal(again.true_fl, cohort.true_fl, equal_nan=True)
+        assert list(again.audio_clips) == list(cohort.audio_clips)
+
+    def test_a_risk_tier_outside_low_mid_high_is_refused(self, tmp_path):
+        write_cohort(generate_cohort(SynthConfig(n_customers=6, seed=2)), tmp_path)
+        path = tmp_path / "ground_truth.csv"
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+        cid, _, fl = first.split(",")
+        path.write_text("\n".join([header, f"{cid},medium,{fl}", *rest]) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaMismatch, match=f"'medium' of id '{cid}'"):
+            read_cohort(tmp_path)
+
+    @pytest.mark.parametrize("name, row, message", [
+        ("manifest.csv", "c00001,audio/c00001.wav,x", "manifest.csv row 'c00001' has 3 cells"),
+        ("ground_truth.csv", "c00001,low", "ground_truth.csv row 'c00001' has 2 cells"),
+        ("ground_truth.csv", "c00001,low,x", "ground_truth.csv row 'c00001' has true_fl 'x'"),
+    ])
+    def test_a_malformed_side_file_row_names_file_and_id(self, tmp_path, name, row, message):
+        write_cohort(generate_cohort(SynthConfig(n_customers=4, seed=2)), tmp_path)
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        lines[2] = row
+        (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaMismatch, match=re.escape(message)):
+            read_cohort(tmp_path)
+
+    def test_line_breaks_in_ids_and_names_round_trip(self, tmp_path):
+        base = generate_cohort(SynthConfig(n_customers=3, n_features=2, seed=5))
+        ids, names = ("a\n1", "b\r\n2", "c3"), ("age", "in\ncome")
+        table = dataclasses.replace(base.table, ids=ids, feature_names=names)
+        cohort = SyntheticCohort(table, base.audio_clips, base.risk_tier, base.true_fl)
+        write_cohort(cohort, tmp_path)
+        again = read_cohort(tmp_path)
+        assert again.table.ids == ids
+        assert again.table.feature_names == names
+        assert again.risk_tier.tolist() == cohort.risk_tier.tolist()
+        assert np.array_equal(again.true_fl, cohort.true_fl, equal_nan=True)
+        assert list(again.audio_clips) == list(cohort.audio_clips)
+        write_cohort(again, tmp_path / "again")
+        for name in ("table.csv", "ground_truth.csv", "manifest.csv"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_truth_needs_one_entry_per_row(self):
         cohort = generate_cohort(SynthConfig(n_customers=5, seed=1))
