@@ -77,10 +77,6 @@ class FeatureMap:
             raise ValueError("feature map must be finite")
         object.__setattr__(self, "image", image)
 
-    @property
-    def n_mels(self) -> int:
-        return self.image.shape[1]
-
 
 @dataclass(frozen=True)
 class FeatureParams:
@@ -285,10 +281,10 @@ def _start_helper(clips, params: FeatureParams) -> None:
     _work = clips, params
 
 
-def _map_one(key) -> FeatureMap:
-    """Make and map clip `key`, in a helper."""
+def _map_one(key) -> np.ndarray:
+    """Make and map clip `key`, in a helper; returns the map's image."""
     clips, params = _work
-    return build_feature_map(clips[key], params)
+    return build_feature_map(clips[key], params).image
 
 
 def _threads() -> int:
@@ -299,20 +295,20 @@ def _threads() -> int:
         return 0
 
 
-def build_feature_maps(clips, keys, params: FeatureParams = FeatureParams()) -> list[FeatureMap]:
-    """`[build_feature_map(clips[k], params) for k in keys]`, on every usable CPU.
+def build_feature_maps(clips, keys, params: FeatureParams = FeatureParams()) -> np.ndarray:
+    """`build_feature_map(clips[k], params).image` for each k in `keys`, on every usable CPU.
 
     `clips` maps each key to its clip, and a lookup may make the clip (a
-    `synth.LazyClips` synthesizes it or reads a WAV). The maps come back in
-    order and bit for bit as the serial loop makes them, and the error raised
-    is the one the serial loop would meet first. The call forks one helper
-    per usable CPU, at most one per chunk of CHUNK_CLIPS keys; each makes and
-    maps the clips of its chunks, so only keys and maps cross between
-    processes. `Executor.map` returns the chunks in order and re-raises a
-    chunk's error in its place; a helper that dies raises `BrokenProcessPool`.
-    Every helper is reaped before the call returns or raises. Forked helpers
-    start at once and inherit `clips` and the BLAS thread setting the maps'
-    bytes depend on.
+    `synth.LazyClips` synthesizes it or reads a WAV). The images come back as
+    one [len(keys), 3, n_mels] array, in order and bit for bit as the serial
+    loop makes them, and the error raised is the one the serial loop would
+    meet first. The call forks one helper per usable CPU, at most one per
+    chunk of CHUNK_CLIPS keys; each makes and maps the clips of its chunks,
+    so only keys and images cross between processes. `Executor.map` returns
+    the chunks in order and re-raises a chunk's error in its place; a helper
+    that dies raises `BrokenProcessPool`. Every helper is reaped before the
+    call returns or raises. Forked helpers start at once and inherit `clips`
+    and the BLAS thread setting the maps' bytes depend on.
 
     The serial loop runs when fewer than two helpers would be forked, when
     another thread runs in the process (forking it is unsafe, and the
@@ -327,12 +323,14 @@ def build_feature_maps(clips, keys, params: FeatureParams = FeatureParams()) -> 
     if _threads() == 1 and hasattr(os, "sched_getaffinity"):
         helpers = min(len(os.sched_getaffinity(0)), -(-n // CHUNK_CLIPS))
     if helpers < 2:
-        return [build_feature_map(clips[k], params) for k in keys]
-    fork = multiprocessing.get_context("fork")
-    try:
-        with ProcessPoolExecutor(helpers, fork, _start_helper, (clips, params)) as pool:
-            return list(pool.map(_map_one, keys, chunksize=CHUNK_CLIPS))
-    finally:
-        deadline = time.monotonic() + 1.0
-        while _threads() > 1 and time.monotonic() < deadline:
-            time.sleep(0.001)
+        images = [build_feature_map(clips[k], params).image for k in keys]
+    else:
+        fork = multiprocessing.get_context("fork")
+        try:
+            with ProcessPoolExecutor(helpers, fork, _start_helper, (clips, params)) as pool:
+                images = list(pool.map(_map_one, keys, chunksize=CHUNK_CLIPS))
+        finally:
+            deadline = time.monotonic() + 1.0
+            while _threads() > 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+    return np.array(images).reshape(n, 3, params.n_mels)

@@ -60,7 +60,11 @@ def csv_bytes(rows) -> bytes:
 
 def csv_rows(raw: bytes) -> list[list[str]]:
     """The rows of UTF-8 CSV bytes, blank rows skipped; inverse of csv_bytes."""
-    return [row for row in csv.reader(io.StringIO(raw.decode("utf-8"), newline="")) if row]
+    reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+    try:
+        return [row for row in reader if row]
+    except csv.Error as exc:  # as for a cell over csv.field_size_limit()
+        raise SchemaMismatch(f"CSV line {reader.line_num}: {exc}") from exc
 
 
 def _column(values, dtype, shape: tuple[int, ...], name: str) -> np.ndarray:

@@ -112,32 +112,31 @@ def relevance_scores(targets: np.ndarray) -> np.ndarray:
     return dev / peak if peak > 0 else np.zeros_like(dev)
 
 
-def smogn_resample(
-    labeled: list[tuple[np.ndarray, float]], cfg: SmognConfig
-) -> list[tuple[np.ndarray, float]]:
+def smogn_resample(data: np.ndarray, cfg: SmognConfig) -> np.ndarray:
     """Oversample rare-target examples; originals are kept unchanged.
 
+    `data` is the labeled set as one [n, d+1] array: each row holds an
+    example's features and then its target. The result holds those n rows
+    unchanged, then one row per synthetic draw. Keep that row contract:
+    perfbench counts the synthetic examples as `len(result) - len(data)`.
     Rare examples with a rare point among their k nearest neighbors are
     interpolated toward it (target interpolated along the same segment);
     isolated rare examples get Gaussian feature perturbation instead.
     """
-    if len(labeled) < cfg.k_neighbors + 1:
+    data = np.asarray(data, dtype=np.float64)
+    if len(data) < cfg.k_neighbors + 1:
         raise TooFewExamples(
-            f"need >= {cfg.k_neighbors + 1} labeled examples, got {len(labeled)}"
+            f"need >= {cfg.k_neighbors + 1} labeled examples, got {len(data)}"
         )
-    X = np.array([np.asarray(f, dtype=np.float64) for f, _ in labeled])
-    y = np.array([t for _, t in labeled], dtype=np.float64)
+    X, y = data[:, :-1], data[:, -1]
     if np.any(y < 0) or np.any(y > 1):
         raise TargetOutOfRange("targets must lie in [0, 1]")
 
     rare = relevance_scores(y) > cfg.relevance_threshold
     rare_idx = np.flatnonzero(rare)
-    out = [(X[i].copy(), float(y[i])) for i in range(len(labeled))]
-    if rare_idx.size == 0:
-        return out
-
     rng = np.random.default_rng(cfg.seed)
     n_synth = int(np.ceil(cfg.oversample_ratio * rare_idx.size))
+    out = np.concatenate([data, np.empty((n_synth, data.shape[1]))])
     neighbors, _ = nearest(X[rare_idx], X, cfg.k_neighbors, exclude=rare_idx)
     feature_std = X.std(axis=0)
 
@@ -153,17 +152,18 @@ def smogn_resample(
         else:
             feats = X[a] + rng.normal(0.0, 1.0, X.shape[1]) * feature_std * cfg.gaussian_perturbation
             target = y[a]
-        out.append((feats, float(np.clip(target, 0.0, 1.0))))
+        out[len(data) + s] = np.append(feats, np.clip(target, 0.0, 1.0))
     return out
 
 
 def coreg_train(
-    labeled: list[tuple[np.ndarray, float]],
-    unlabeled: list[np.ndarray],
+    X: np.ndarray,
+    y: np.ndarray,
+    X_unlabeled: np.ndarray,
     smogn: SmognConfig | None = None,
     cfg: CoregConfig = CoregConfig(),
 ) -> FLModel:
-    """Co-train two k-NN learners with confident pseudo-labels.
+    """Co-train two k-NN learners on labeled rows `X`, `y` and unlabeled rows.
 
     Each iteration, each learner scores a random pool of unlabeled points:
     a candidate's gain is the drop in the peer's leave-one-out squared
@@ -172,27 +172,28 @@ def coreg_train(
     most batch_per_iter per learner per iteration); training stops early
     once neither learner accepts anything.
     """
-    if not labeled:
-        raise TooFewExamples("co-training needs at least one labeled example")
-    base = smogn_resample(labeled, smogn) if smogn is not None else list(labeled)
-    if len(base) < 2:
-        raise TooFewExamples(f"co-training needs >= 2 labeled examples, got {len(base)}")
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if len(X) != len(y):
+        raise ShapeMismatch(f"{len(X)} labeled rows but {len(y)} targets")
+    if smogn is not None:
+        data = smogn_resample(np.column_stack([X, y]), smogn)
+        X, y = data[:, :-1], data[:, -1]
+    if len(y) < 2:
+        raise TooFewExamples(f"co-training needs >= 2 labeled examples, got {len(y)}")
 
-    X0 = np.array([np.asarray(f, dtype=np.float64) for f, _ in base])
-    y0 = np.array([t for _, t in base], dtype=np.float64)
-    learners = [KNNRegressor(X0, y0, cfg.k1, cfg.p1), KNNRegressor(X0, y0, cfg.k2, cfg.p2)]
-    pool = [np.asarray(f, dtype=np.float64) for f in unlabeled]
-    remaining = list(range(len(pool)))
+    learners = [KNNRegressor(X, y, cfg.k1, cfg.p1), KNNRegressor(X, y, cfg.k2, cfg.p2)]
+    pool = np.asarray(X_unlabeled, dtype=np.float64)
+    remaining = np.arange(len(pool))
     # leave-one-out: each learner point's k nearest other points of that
     # learner, kept current from one distance row as each point joins it
-    loo = [nearest(X0, X0, lrn.k, lrn.p, exclude=np.arange(y0.size)) for lrn in learners]
+    loo = [nearest(X, X, lrn.k, lrn.p, exclude=np.arange(y.size)) for lrn in learners]
     rng = np.random.default_rng(cfg.seed)
     transcript: list[tuple[int, int, int, float, float]] = []
 
     for iteration in range(cfg.max_iterations):
         accepted_any = False
         for selector in (0, 1):
-            if not remaining:
+            if not remaining.size:
                 break
             own, peer = learners[selector], learners[1 - selector]
             loo_near, nb_dist = loo[1 - selector]
@@ -204,8 +205,8 @@ def coreg_train(
             pool_idx = rng.choice(
                 len(remaining), size=min(cfg.pool_size, len(remaining)), replace=False
             )
-            candidates = [remaining[int(i)] for i in pool_idx]
-            cand_X = np.array([pool[i] for i in candidates])
+            candidates = remaining[pool_idx]
+            cand_X = pool[candidates]
             pseudo = own.predict(cand_X)
             # each candidate touches the k peer points nearest to it
             near, near_dist = nearest(cand_X, peer.X, k_eff, peer.p)
@@ -219,16 +220,14 @@ def coreg_train(
             for c in np.argsort(-gains, kind="stable")[: cfg.batch_per_iter]:
                 if gains[c] <= 0.0:
                     break
-                u = candidates[int(c)]
+                u = int(candidates[c])
                 loo[1 - selector] = join_leave_one_out(
                     *loo[1 - selector], peer.X, pool[u], peer.k, peer.p
                 )
                 peer.X = np.vstack([peer.X, pool[u][None, :]])
-                peer.y = np.append(peer.y, pseudo[int(c)])
-                remaining.remove(u)
-                transcript.append(
-                    (iteration, selector, u, float(pseudo[int(c)]), float(gains[c]))
-                )
+                peer.y = np.append(peer.y, pseudo[c])
+                remaining = remaining[remaining != u]
+                transcript.append((iteration, selector, u, float(pseudo[c]), float(gains[c])))
                 accepted_any = True
         if not accepted_any:
             break

@@ -53,6 +53,9 @@ class RunConfig:
             raise InvalidConfig("test_fraction must lie in (0, 1)")
         if not self.seeds:
             raise InvalidConfig("seeds must be non-empty")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise InvalidConfig(f"seeds must be distinct: {repeated[0]} repeats")
 
 
 def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
@@ -145,16 +148,15 @@ def split_table(table: CustomerTable, test_fraction: float, seed: int):
 def train_fl(train_table: CustomerTable, cfg: RunConfig) -> flm.FLModel:
     known = ~np.isnan(train_table.fl_label)
     X = train_table.features
-    labeled = list(zip(X[known], train_table.fl_label[known]))
-    return flm.coreg_train(labeled, list(X[~known]), cfg.smogn, cfg.coreg)
+    return flm.coreg_train(X[known], train_table.fl_label[known], X[~known], cfg.smogn, cfg.coreg)
 
 
 def train_ser(cfg: RunConfig) -> serm.EmotionModel:
     clips, labels = synth.generate_ser_corpus(
         cfg.ser_corpus_per_class, cfg.synth.clip_duration_s, cfg.seed + 5
     )
-    maps = build_feature_maps(clips, range(len(clips)), cfg.features)
-    return serm.train_emotion(maps, labels, cfg.ser_train)
+    images = build_feature_maps(clips, range(len(clips)), cfg.features)
+    return serm.train_emotion(images, labels, cfg.ser_train)
 
 
 def train_churn_baseline(train_table: CustomerTable, cfg: RunConfig) -> cm.ChurnModel:
@@ -169,8 +171,8 @@ def compute_emotions(table, clips, ser, cfg: RunConfig) -> np.ndarray:
     missing = [cid for cid, ref in zip(table.ids, table.audio_ref) if ref not in clips]
     if missing:
         raise MissingModality(f"{len(missing)} customers have no audio clip, first {missing[0]!r}")
-    maps = build_feature_maps(clips, table.audio_ref, cfg.features)
-    return np.array([serm.predict_emotion(ser, m) for m in maps], dtype=int)
+    images = build_feature_maps(clips, table.audio_ref, cfg.features)
+    return np.array([serm.predict_emotion(ser, image) for image in images], dtype=int)
 
 
 class Split:

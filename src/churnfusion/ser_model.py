@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blob, mlp
-from .audio_features import FeatureMap
 from .errors import DegenerateData, ShapeMismatch
 
 MAGIC = b"SERM"
@@ -28,42 +27,33 @@ class EmotionModel:
     final_loss: float = 0.0
 
 
-def _flatten(maps: list[FeatureMap]) -> np.ndarray:
-    return np.array([m.image.ravel() for m in maps])
-
-
 def train_emotion(
-    maps: list[FeatureMap],
-    labels: list[int],
-    hyper: mlp.TrainConfig = mlp.TrainConfig(),
+    images: np.ndarray, labels: list[int], hyper: mlp.TrainConfig = mlp.TrainConfig()
 ) -> EmotionModel:
-    """Fit on flattened maps by seeded mini-batch gradient descent."""
-    if not maps:
-        raise DegenerateData("no training examples")
-    n_mels = maps[0].n_mels
-    if any(m.n_mels != n_mels for m in maps):
-        raise ShapeMismatch("all feature maps must share one shape")
+    """Fit on flattened [n, 3, n_mels] feature maps by seeded mini-batch gradient descent."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 3 or images.shape[1] != 3:
+        raise ShapeMismatch(f"feature maps must be [n, 3, n_mels], got {images.shape}")
     y = np.asarray(labels).astype(int).ravel()
-    if y.size != len(maps):
+    if y.size != len(images):
         raise ShapeMismatch("one label per feature map required")
     if np.sum(y == 0) < 2 or np.sum(y == 1) < 2:
         raise DegenerateData("need >= 2 examples per class")
-    params, final_loss = mlp.train(_flatten(maps), y, HIDDEN_DIMS, hyper)
-    return EmotionModel(params=params, n_mels=n_mels, final_loss=final_loss)
+    params, final_loss = mlp.train(images.reshape(len(images), -1), y, HIDDEN_DIMS, hyper)
+    return EmotionModel(params=params, n_mels=images.shape[2], final_loss=final_loss)
 
 
-def predict_proba(model: EmotionModel, feature_map: FeatureMap) -> float:
-    """Probability of the negative class."""
-    if feature_map.n_mels != model.n_mels:
-        raise ShapeMismatch(
-            f"feature map has {feature_map.n_mels} mel bands, model expects {model.n_mels}"
-        )
-    return float(mlp.forward(model.params, feature_map.image.ravel()[None, :])[0])
+def predict_proba(model: EmotionModel, image: np.ndarray) -> float:
+    """Probability of the negative class for one [3, n_mels] feature map."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.shape != (3, model.n_mels):
+        raise ShapeMismatch(f"feature map has shape {image.shape}, expected (3, {model.n_mels})")
+    return float(mlp.forward(model.params, image.reshape(1, -1))[0])
 
 
-def predict_emotion(model: EmotionModel, feature_map: FeatureMap) -> int:
+def predict_emotion(model: EmotionModel, image: np.ndarray) -> int:
     """Negative-emotion flag: 1 when the negative class is at least as likely."""
-    return int(predict_proba(model, feature_map) >= 0.5)
+    return int(predict_proba(model, image) >= 0.5)
 
 
 def save_emotion_model(model: EmotionModel) -> bytes:

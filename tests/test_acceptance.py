@@ -218,23 +218,23 @@ def test_criterion_07_resampling_geometry():
             bad += not ok
             draws += 1
         # SMOGN side: rare pair near origin, common mass far away
-        labeled = [
-            (np.array([0.0, 0.0]), 0.9),
-            (np.array([1.0, 1.0]), 1.0),
-        ] + [(rng.normal(10, 0.5, 2), 0.5) for _ in range(4)]
+        data = np.array(
+            [[0.0, 0.0, 0.9], [1.0, 1.0, 1.0]]
+            + [[*rng.normal(10, 0.5, 2), 0.5] for _ in range(4)]
+        )
         out = flm.smogn_resample(
-            labeled,
+            data,
             flm.SmognConfig(
                 relevance_threshold=0.5, k_neighbors=2, oversample_ratio=3.0,
                 seed=int(rng.integers(1 << 30)),
             ),
         )
-        if len(out) != len(labeled) + 6:  # ceil(3.0 * 2) rare draws
+        if len(out) != len(data) + 6:  # ceil(3.0 * 2) rare draws
             bad += 1
-        for i, (feats, _) in enumerate(out[: len(labeled)]):
-            if not np.array_equal(feats, labeled[i][0]):
+        for i, row in enumerate(out[: len(data)]):
+            if not np.array_equal(row, data[i]):
                 bad += 1
-        for feats, target in out[len(labeled):]:
+        for *feats, target in out[len(data):]:
             bad += not on_segment(feats, np.zeros(2), np.ones(2))
             bad += not (0.9 - 1e-9 <= target <= 1.0 + 1e-9)
             draws += 1
@@ -279,9 +279,8 @@ def test_criterion_09_coreg_sanity():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(25, 3))
     y = np.clip(0.5 + 0.3 * X[:, 0], 0, 1)
-    labeled = [(X[i], float(y[i])) for i in range(25)]
     cfg = flm.CoregConfig(max_iterations=30)
-    model = flm.coreg_train(labeled, [], smogn=None, cfg=cfg)
+    model = flm.coreg_train(X, y, X[:0], smogn=None, cfg=cfg)
     queries = rng.normal(size=(20, 3))
     k1 = flm.KNNRegressor(X, y, cfg.k1, cfg.p1)
     k2 = flm.KNNRegressor(X, y, cfg.k2, cfg.p2)
@@ -297,11 +296,10 @@ def test_criterion_09_coreg_sanity():
         )
         train, test = cohort.table.take(slice(0, 300)), cohort.table.take(slice(300, None))
         known = ~np.isnan(train.fl_label)
-        lab = list(zip(train.features[known], train.fl_label[known]))
-        unlab = list(train.features[~known])
+        X_lab, y_lab = train.features[known], train.fl_label[known]
         c = flm.CoregConfig(max_iterations=30, seed=seed)
-        m = flm.coreg_train(lab, unlab, flm.SmognConfig(seed=seed), c)
-        b = flm.coreg_train(lab, [], flm.SmognConfig(seed=seed), c)
+        m = flm.coreg_train(X_lab, y_lab, train.features[~known], flm.SmognConfig(seed=seed), c)
+        b = flm.coreg_train(X_lab, y_lab, X_lab[:0], flm.SmognConfig(seed=seed), c)
         Xt = test.features
         yt = cohort.true_fl[300:]
         rmse_coreg.append(float(np.sqrt(np.mean((flm.predict_fl_batch(m, Xt) - yt) ** 2))))

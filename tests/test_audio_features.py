@@ -335,8 +335,10 @@ def cohort_clips():
     return [cohort.audio_clips[ref] for ref in sorted(cohort.audio_clips)]
 
 
-def images(maps):
-    return [m.image.tobytes() for m in maps]
+def assert_serial(maps, clips, params=FeatureParams()):
+    """`maps` is the serial loop's images stacked: [len(clips), 3, n_mels], the same bytes."""
+    assert maps.shape == (len(clips), 3, params.n_mels)
+    assert maps.tobytes() == b"".join(build_feature_map(c, params).image.tobytes() for c in clips)
 
 
 def made(n, make):
@@ -352,7 +354,7 @@ class TestBuildFeatureMaps:
         params = FeatureParams(n_mels=32, kernel_time=9)
         clips = cohort_clips[:n]
         maps = af.build_feature_maps(clips, range(n), params)
-        assert images(maps) == images(build_feature_map(c, params) for c in clips)
+        assert_serial(maps, clips, params)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus, threads", [(1, 1), (4, 3)])
@@ -363,14 +365,14 @@ class TestBuildFeatureMaps:
         monkeypatch.setattr(af, "_threads", lambda: threads)
         monkeypatch.setattr(multiprocessing, "get_context", mock.Mock(side_effect=AssertionError))
         maps = af.build_feature_maps(cohort_clips, range(len(cohort_clips)))
-        assert images(maps) == images(build_feature_map(c) for c in cohort_clips)
+        assert_serial(maps, cohort_clips)
 
     def test_no_sched_getaffinity_maps_serially(self, cohort_clips, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(af, "_threads", lambda: 1)
         monkeypatch.setattr(multiprocessing, "get_context", mock.Mock(side_effect=AssertionError))
         maps = af.build_feature_maps(cohort_clips, range(len(cohort_clips)))
-        assert images(maps) == images(build_feature_map(c) for c in cohort_clips)
+        assert_serial(maps, cohort_clips)
 
     def test_no_proc_task_list_maps_serially(self, cohort_clips, monkeypatch):
         listdir = os.listdir
@@ -384,12 +386,12 @@ class TestBuildFeatureMaps:
         monkeypatch.setattr(os, "listdir", no_proc)
         monkeypatch.setattr(multiprocessing, "get_context", mock.Mock(side_effect=AssertionError))
         maps = af.build_feature_maps(cohort_clips, range(len(cohort_clips)))
-        assert images(maps) == images(build_feature_map(c) for c in cohort_clips)
+        assert_serial(maps, cohort_clips)
 
     def test_maps_of_1s_clips_keep_the_golden_bytes(self, monkeypatch):
         use_cpus(monkeypatch, 2)
         clips = golden_clips()
-        stacked = np.stack([m.image for m in af.build_feature_maps(clips, range(len(clips)))])
+        stacked = af.build_feature_maps(clips, range(len(clips)))
         assert hashlib.sha256(stacked.tobytes()).hexdigest() == GOLDEN_MAPS_SHA256
 
     # with two or four CPUs the helpers make and map every chunk, and the
@@ -440,5 +442,5 @@ class TestBuildFeatureMaps:
             return cohort_clips[i]
 
         maps = af.build_feature_maps(made(len(cohort_clips), make), range(len(cohort_clips)))
-        assert images(maps) == images(build_feature_map(c) for c in cohort_clips)
+        assert_serial(maps, cohort_clips)
         assert multiprocessing.active_children() == []

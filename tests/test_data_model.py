@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -251,3 +252,11 @@ def test_csv_codec_dialect_and_blank_rows():
     # a lone \r is quoted too, or reading would end the row there
     assert blob == b'id,x\n"a,1","say ""hi"""\n"b\r\n2",\n"c\r3","d\n4"\n'
     assert csv_rows(b"\n" + blob + b"\n\n") == rows
+
+
+def test_csv_cell_over_the_field_limit_is_a_schema_mismatch():
+    # the reader's own csv.Error is no ValueError, so the CLI printed a traceback
+    limit = csv.field_size_limit()
+    with pytest.raises(SchemaMismatch, match=r"^CSV line 2: field larger than field limit"):
+        csv_rows(b"id,x\na," + b"y" * 200000 + b"\n")
+    assert csv.field_size_limit() == limit

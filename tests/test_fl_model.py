@@ -11,32 +11,32 @@ from churnfusion.synth import SynthConfig, generate_cohort
 def make_labeled(rng, n=40, d=3):
     X = rng.normal(size=(n, d))
     y = np.clip(0.5 + 0.3 * X[:, 0] + 0.1 * rng.normal(size=n), 0, 1)
-    return [(X[i], float(y[i])) for i in range(n)]
+    return X, y
 
 
 class TestSmogn:
     def test_no_rare_cases_identity(self):
         # all targets equal the median: every relevance score is zero
-        labeled = [(np.array([float(i), 0.0]), 0.5) for i in range(10)]
+        data = np.column_stack([np.arange(10.0), np.zeros(10), np.full(10, 0.5)])
         cfg = flm.SmognConfig(relevance_threshold=0.5, k_neighbors=2)
-        out = flm.smogn_resample(labeled, cfg)
-        assert len(out) == len(labeled)
+        out = flm.smogn_resample(data, cfg)
+        assert len(out) == len(data)
 
     def test_interpolation_between_two_rare_parents(self):
         # rare pair near the origin, common-target mass far away
-        labeled = [
-            (np.array([0.0, 0.0]), 0.9),
-            (np.array([1.0, 1.0]), 1.0),
-            (np.array([10.0, 10.0]), 0.5),
-            (np.array([11.0, 10.0]), 0.5),
-            (np.array([10.0, 11.0]), 0.5),
-        ]
+        data = np.array([
+            [0.0, 0.0, 0.9],
+            [1.0, 1.0, 1.0],
+            [10.0, 10.0, 0.5],
+            [11.0, 10.0, 0.5],
+            [10.0, 11.0, 0.5],
+        ])
         cfg = flm.SmognConfig(
             relevance_threshold=0.5, k_neighbors=2, oversample_ratio=2.0, seed=0
         )
-        out = flm.smogn_resample(labeled, cfg)
+        out = flm.smogn_resample(data, cfg)
         assert len(out) > 5
-        for feats, target in out[5:]:
+        for *feats, target in out[5:]:
             t = feats[0]
             assert feats[1] == pytest.approx(t)  # point lies on the (0,0)-(1,1) segment
             assert 0.0 - 1e-9 <= t <= 1.0 + 1e-9
@@ -46,28 +46,31 @@ class TestSmogn:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(100, 2))
         y = np.concatenate([rng.uniform(0.45, 0.55, 80), rng.uniform(0.9, 1.0, 20)])
-        labeled = [(X[i], float(y[i])) for i in range(100)]
         cfg = flm.SmognConfig(relevance_threshold=0.6, k_neighbors=5, oversample_ratio=1.0)
-        out = flm.smogn_resample(labeled, cfg)
-        before = np.mean([t > 0.8 for _, t in labeled])
-        after = np.mean([t > 0.8 for _, t in out])
+        out = flm.smogn_resample(np.column_stack([X, y]), cfg)
+        before = np.mean(y > 0.8)
+        after = np.mean(out[:, -1] > 0.8)
         assert after > before
 
     def test_originals_preserved_and_count_formula(self):
         rng = np.random.default_rng(1)
-        labeled = make_labeled(rng, 30)
+        X, y = make_labeled(rng, 30)
+        data = np.column_stack([X, y])
         cfg = flm.SmognConfig(relevance_threshold=0.7, oversample_ratio=1.5, seed=2)
-        out = flm.smogn_resample(labeled, cfg)
-        for (orig_f, orig_t), (out_f, out_t) in zip(labeled, out):
-            assert np.array_equal(orig_f, out_f) and orig_t == out_t
-        rel = flm.relevance_scores(np.array([t for _, t in labeled]))
-        n_rare = int(np.sum(rel > 0.7))
+        out = flm.smogn_resample(data, cfg)
+        # the row contract: the input rows first, unchanged, then only the draws
+        assert out.shape[1] == data.shape[1]
+        assert out[:30].tobytes() == data.tobytes()
+        n_rare = int(np.sum(flm.relevance_scores(y) > 0.7))
+        assert n_rare > 0
         assert len(out) == 30 + int(np.ceil(1.5 * n_rare))
+        assert np.all((0.0 <= out[30:, -1]) & (out[30:, -1] <= 1.0))
 
     def test_errors(self):
         with pytest.raises(TooFewExamples):
-            flm.smogn_resample([(np.zeros(2), 0.5)], flm.SmognConfig(k_neighbors=5))
-        bad = [(np.zeros(2), 1.5)] + [(np.ones(2) * i, 0.5) for i in range(6)]
+            flm.smogn_resample(np.array([[0.0, 0.0, 0.5]]), flm.SmognConfig(k_neighbors=5))
+        bad = np.column_stack([np.arange(7.0), np.arange(7.0), np.full(7, 0.5)])
+        bad[0, -1] = 1.5
         with pytest.raises(TargetOutOfRange):
             flm.smogn_resample(bad, flm.SmognConfig(k_neighbors=2))
 
@@ -122,11 +125,9 @@ PINNED_TIE_TRANSCRIPT = [
 class TestCoreg:
     def test_empty_pool_equals_plain_knn_average(self):
         rng = np.random.default_rng(2)
-        labeled = make_labeled(rng, 25)
+        X, y = make_labeled(rng, 25)
         cfg = flm.CoregConfig(seed=0)
-        model = flm.coreg_train(labeled, [], smogn=None, cfg=cfg)
-        X = np.array([f for f, _ in labeled])
-        y = np.array([t for _, t in labeled])
+        model = flm.coreg_train(X, y, np.empty((0, 3)), smogn=None, cfg=cfg)
         k1 = flm.KNNRegressor(X, y, cfg.k1, cfg.p1)
         k2 = flm.KNNRegressor(X, y, cfg.k2, cfg.p2)
         queries = rng.normal(size=(10, 3))
@@ -137,11 +138,11 @@ class TestCoreg:
 
     def test_deterministic_transcript(self):
         rng = np.random.default_rng(3)
-        labeled = make_labeled(rng, 20)
-        unlabeled = [rng.normal(size=3) for _ in range(40)]
+        X, y = make_labeled(rng, 20)
+        unlabeled = rng.normal(size=(40, 3))
         cfg = flm.CoregConfig(max_iterations=5, pool_size=10, seed=4)
-        a = flm.coreg_train(labeled, unlabeled, smogn=None, cfg=cfg)
-        b = flm.coreg_train(labeled, unlabeled, smogn=None, cfg=cfg)
+        a = flm.coreg_train(X, y, unlabeled, smogn=None, cfg=cfg)
+        b = flm.coreg_train(X, y, unlabeled, smogn=None, cfg=cfg)
         assert a.transcript == b.transcript
 
     def test_pinned_transcript_and_blob(self):
@@ -151,8 +152,9 @@ class TestCoreg:
         ).table
         known = ~np.isnan(table.fl_label)
         model = flm.coreg_train(
-            list(zip(table.features[known], table.fl_label[known])),
-            list(table.features[~known]),
+            table.features[known],
+            table.fl_label[known],
+            table.features[~known],
             flm.SmognConfig(seed=5),
             flm.CoregConfig(max_iterations=6, pool_size=30, batch_per_iter=2, seed=6),
         )
@@ -168,9 +170,10 @@ class TestCoreg:
         rng = np.random.default_rng(11)
         X = rng.integers(-2, 3, size=(30, 2)).astype(float)
         y = rng.integers(0, 11, size=30) / 10.0
-        unlabeled = list(rng.integers(-2, 3, size=(40, 2)).astype(float))
+        unlabeled = rng.integers(-2, 3, size=(40, 2)).astype(float)
         model = flm.coreg_train(
-            [(X[i], float(y[i])) for i in range(30)],
+            X,
+            y,
             unlabeled,
             smogn=None,
             cfg=flm.CoregConfig(max_iterations=8, pool_size=20, seed=3),
@@ -179,10 +182,10 @@ class TestCoreg:
 
     def test_transcript_gains_strictly_positive(self):
         rng = np.random.default_rng(4)
-        labeled = make_labeled(rng, 20)
-        unlabeled = [rng.normal(size=3) for _ in range(60)]
+        X, y = make_labeled(rng, 20)
+        unlabeled = rng.normal(size=(60, 3))
         model = flm.coreg_train(
-            labeled, unlabeled, smogn=None, cfg=flm.CoregConfig(max_iterations=8, seed=5)
+            X, y, unlabeled, smogn=None, cfg=flm.CoregConfig(max_iterations=8, seed=5)
         )
         for _, _, _, _, gain in model.transcript:
             assert gain > 0
@@ -206,9 +209,10 @@ class TestCoreg:
         monkeypatch.setattr(flm, "join_leave_one_out", checked_join)
         rng = np.random.default_rng(12)
         X = rng.integers(-2, 3, size=(2, 2)).astype(float)
-        unlabeled = list(rng.integers(-2, 3, size=(40, 2)).astype(float))
+        unlabeled = rng.integers(-2, 3, size=(40, 2)).astype(float)
         model = flm.coreg_train(
-            [(X[0], 0.2), (X[1], 0.9)],
+            X,
+            np.array([0.2, 0.9]),
             unlabeled,
             smogn=None,
             cfg=flm.CoregConfig(max_iterations=10, pool_size=10, batch_per_iter=2, seed=1),
@@ -217,12 +221,21 @@ class TestCoreg:
 
     def test_empty_labeled_set_rejected(self):
         with pytest.raises(TooFewExamples):
-            flm.coreg_train([], [np.zeros(2)])
+            flm.coreg_train(np.empty((0, 2)), np.empty(0), np.zeros((1, 2)))
 
     def test_single_labeled_row_rejected(self):
         # one row leaves no neighbor for the leave-one-out error
         with pytest.raises(TooFewExamples, match="got 1"):
-            flm.coreg_train([(np.zeros(2), 0.5)], [np.ones(2)], smogn=None)
+            flm.coreg_train(np.zeros((1, 2)), np.array([0.5]), np.ones((1, 2)), smogn=None)
+
+    def test_labeled_rows_and_targets_must_pair_up(self):
+        with pytest.raises(ShapeMismatch, match="3 labeled rows but 2 targets"):
+            flm.coreg_train(np.zeros((3, 2)), np.array([0.1, 0.9]), np.ones((1, 2)))
+
+    def test_unlabeled_width_must_match(self):
+        X, y = make_labeled(np.random.default_rng(8), 10)
+        with pytest.raises(ShapeMismatch):
+            flm.coreg_train(X, y, np.ones((5, 2)))
 
     def test_pseudo_labels_help_on_coupled_cohort(self):
         rmse_coreg, rmse_baseline = [], []
@@ -232,11 +245,10 @@ class TestCoreg:
             )
             train, test = cohort.table.take(slice(0, 300)), cohort.table.take(slice(300, None))
             known = ~np.isnan(train.fl_label)
-            labeled = list(zip(train.features[known], train.fl_label[known]))
-            unlabeled = list(train.features[~known])
+            X, y = train.features[known], train.fl_label[known]
             cfg = flm.CoregConfig(max_iterations=30, seed=seed)
-            model = flm.coreg_train(labeled, unlabeled, flm.SmognConfig(seed=seed), cfg)
-            baseline = flm.coreg_train(labeled, [], flm.SmognConfig(seed=seed), cfg)
+            model = flm.coreg_train(X, y, train.features[~known], flm.SmognConfig(seed=seed), cfg)
+            baseline = flm.coreg_train(X, y, X[:0], flm.SmognConfig(seed=seed), cfg)
             Xt = test.features
             yt = cohort.true_fl[300:]
             rmse_coreg.append(np.sqrt(np.mean((flm.predict_fl_batch(model, Xt) - yt) ** 2)))
@@ -285,8 +297,8 @@ class TestPredict:
 
 def test_serialization_round_trip():
     rng = np.random.default_rng(7)
-    labeled = make_labeled(rng, 15)
-    model = flm.coreg_train(labeled, [], smogn=None, cfg=flm.CoregConfig())
+    X, y = make_labeled(rng, 15)
+    model = flm.coreg_train(X, y, X[:0], smogn=None, cfg=flm.CoregConfig())
     blob = flm.save_fl_model(model)
     assert blob[:4] == b"FLKN"
     again = flm.load_fl_model(blob)

@@ -81,8 +81,8 @@ def test_forked_maps_equal_serial_maps_without_scipy(tmp_path):
         clips = [cohort.audio_clips[ref] for ref in sorted(cohort.audio_clips)]
         os.sched_getaffinity = lambda pid: {0, 1}
         af._threads = lambda: 1
-        forked = [m.image.tobytes() for m in af.build_feature_maps(clips, range(len(clips)))]
-        serial = [af.build_feature_map(c).image.tobytes() for c in clips]
+        forked = af.build_feature_maps(clips, range(len(clips))).tobytes()
+        serial = b"".join(af.build_feature_map(c).image.tobytes() for c in clips)
         print(json.dumps({
             "forks": forks, "equal": forked == serial,
             "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),

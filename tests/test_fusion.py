@@ -121,12 +121,12 @@ def small_world():
     cohort = generate_cohort(SynthConfig(n_customers=80, coupling=0.9, seed=11))
     table = cohort.table
     known = ~np.isnan(table.fl_label)
-    labeled = list(zip(table.features[known], table.fl_label[known]))
-    fl_model = flm.coreg_train(labeled, [], smogn=None, cfg=flm.CoregConfig())
+    X = table.features[known]
+    fl_model = flm.coreg_train(X, table.fl_label[known], X[:0], smogn=None, cfg=flm.CoregConfig())
     clips, labels = generate_ser_corpus(8, 1.0, seed=12)
     params = FeatureParams()
-    maps = [build_feature_map(c, params) for c in clips.values()]
-    emo_model = ser_model.train_emotion(maps, labels, TrainConfig(epochs=60, seed=0))
+    images = np.stack([build_feature_map(c, params).image for c in clips.values()])
+    emo_model = ser_model.train_emotion(images, labels, TrainConfig(epochs=60, seed=0))
     churn = cm.train_churn(
         table.features, table.churn_outcome, rfe_k=6, hyper=TrainConfig(epochs=60, seed=1)
     )

@@ -114,6 +114,12 @@ class TestParseConfig:
         with pytest.raises((ValueError, ChurnFusionError)):
             pipeline.parse_config_text(f"{key} = {value}")
 
+    def test_repeated_seed_rejected(self):
+        with pytest.raises(InvalidConfig, match="^seeds must be distinct: 4 repeats$"):
+            pipeline.parse_config_text("seeds = 4,1,4")
+        with pytest.raises(InvalidConfig, match="0 repeats"):
+            pipeline.RunConfig(seeds=(0, 0))
+
     # each raised TypeError from dataclasses.fields on the scalar before
     @pytest.mark.parametrize(
         "section", ["seed", "seeds", "test_fraction", "rfe_k", "ser_corpus_per_class"]
@@ -359,6 +365,17 @@ class TestCli:
         assert err.startswith("error:") and "'medium'" in err and repr(cid) in err
         assert not (bad / "reports" / "report_none.txt").exists()
 
+    def test_oversized_table_cell_fails_evaluate(self, cli_workspace, tmp_path, capsys):
+        ws, config = cli_workspace
+        bad = copy_trained(ws, tmp_path / "wide")
+        path = bad / "data" / "table.csv"
+        header, first, *rest = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join([header, b"y" * 200000 + first, *rest]))
+        assert run_cli(["evaluate", "none"], bad, config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "field larger than field limit" in err
+        assert not (bad / "reports").exists()
+
     def test_train_ser_without_manifest_fails(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
         config.write_text(SMALL_CONFIG, encoding="utf-8")
@@ -415,6 +432,16 @@ class TestCli:
         out = tmp_path / "ws"
         assert cli.main(["gen", "--out", str(out), "--config", str(config)]) == 1
         assert capsys.readouterr().err.startswith("error: line 1:")
+        assert not out.exists()
+
+    def test_repeated_seed_fails_compare_and_writes_nothing(self, tmp_path, capsys):
+        # compare averaged seed 0 twice and reported a std of 0, as if two seeds agreed
+        config = tmp_path / "seeds.txt"
+        config.write_text(SMALL_CONFIG + "seeds = 0,0\n", encoding="utf-8")
+        out = tmp_path / "ws"
+        assert run_cli(["compare"], out, config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "0 repeats" in err
         assert not out.exists()
 
     def test_bad_boolean_in_config_fails(self, tmp_path, capsys):

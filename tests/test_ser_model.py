@@ -2,25 +2,24 @@ import numpy as np
 import pytest
 
 from churnfusion import ser_model
-from churnfusion.audio_features import FeatureMap
 from churnfusion.errors import DegenerateData, ShapeMismatch
 from churnfusion.mlp import TrainConfig
 
 
 def blob_maps(n_per_class=30, n_mels=16, separation=3.0, seed=0):
-    """Two Gaussian blobs in feature-map space."""
+    """Two Gaussian blobs in feature-map space, as one [n, 3, n_mels] stack."""
     rng = np.random.default_rng(seed)
     maps, labels = [], []
     for label in (0, 1):
         center = np.full((3, n_mels), separation * label)
         for _ in range(n_per_class):
-            maps.append(FeatureMap(center + rng.normal(0, 1.0, (3, n_mels))))
+            maps.append(center + rng.normal(0, 1.0, (3, n_mels)))
             labels.append(label)
-    return maps, labels
+    return np.stack(maps), labels
 
 
 def nearest_centroid_accuracy(maps, labels):
-    X = np.array([m.image.ravel() for m in maps])
+    X = maps.reshape(len(maps), -1)
     y = np.array(labels)
     centroids = np.array([X[y == c].mean(axis=0) for c in (0, 1)])
     pred = np.argmin(
@@ -78,8 +77,16 @@ def test_class_probabilities_sum_to_one():
 def test_shape_mismatch():
     maps, labels = blob_maps(n_per_class=5, n_mels=16)
     model = ser_model.train_emotion(maps, labels, TrainConfig(epochs=2))
-    with pytest.raises(ShapeMismatch):
-        ser_model.predict_emotion(model, FeatureMap(np.zeros((3, 8))))
+    for image in (np.zeros((3, 8)), np.zeros((2, 16)), maps[:1], maps[0].ravel()):
+        with pytest.raises(ShapeMismatch):
+            ser_model.predict_emotion(model, image)
+
+
+def test_training_maps_must_be_a_stack_of_three_row_images():
+    maps, labels = blob_maps(n_per_class=5, n_mels=16)
+    for bad in (maps[:, :2], maps.reshape(len(maps), -1), maps[0], maps[None]):
+        with pytest.raises(ShapeMismatch, match=r"\[n, 3, n_mels\]"):
+            ser_model.train_emotion(bad, labels, TrainConfig(epochs=2))
 
 
 def test_serialization_round_trip():
